@@ -32,21 +32,27 @@ Status ApplyStoreBackendPolicy(rdf::TripleStore* store,
 
 Result<QueryOutcome> LocalEndpoint::Query(const std::string& query_text) {
   sparql::ExecStats stats;
-  Result<QueryOutcome> outcome = QueryWithStats(query_text, &stats);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    last_stats_ = stats;
-  }
-  return outcome;
+  return QueryWithStats(query_text, &stats);
 }
 
 Result<QueryOutcome> LocalEndpoint::QueryWithStats(
     const std::string& query_text, sparql::ExecStats* stats) {
-  *stats = sparql::ExecStats{};  // per-query stats, never accumulated
+  HBOLD_ASSIGN_OR_RETURN(sparql::ResolvedQuery resolved, Resolve(query_text));
+  return Execute(std::move(resolved), stats);
+}
+
+Result<sparql::ResolvedQuery> LocalEndpoint::Resolve(
+    std::string_view query_text) {
   queries_served_.fetch_add(1, std::memory_order_relaxed);
+  return executor_.Resolve(query_text);
+}
+
+Result<QueryOutcome> LocalEndpoint::Execute(sparql::ResolvedQuery resolved,
+                                            sparql::ExecStats* stats) {
+  *stats = sparql::ExecStats{};  // per-query stats, never accumulated
   Stopwatch sw;
   HBOLD_ASSIGN_OR_RETURN(sparql::ResultTable table,
-                         executor_.Execute(query_text, stats));
+                         executor_.Execute(std::move(resolved), stats));
   if (stats->hash_join_builds > 0) {
     hash_join_builds_.fetch_add(stats->hash_join_builds,
                                 std::memory_order_relaxed);

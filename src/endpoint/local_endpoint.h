@@ -2,8 +2,8 @@
 #define HBOLD_ENDPOINT_LOCAL_ENDPOINT_H_
 
 #include <atomic>
-#include <mutex>
 #include <string>
+#include <string_view>
 
 #include "endpoint/endpoint.h"
 #include "rdf/graph.h"
@@ -68,11 +68,21 @@ class LocalEndpoint : public SparqlEndpoint {
   Result<QueryOutcome> Query(const std::string& query_text) override;
 
   /// Like Query(), but writes the execution stats to caller-owned storage
-  /// instead of the shared last_stats() slot — the race-free form for
-  /// concurrent callers that need per-query stats (the simulated-endpoint
-  /// latency model uses this).
+  /// — the race-free form for concurrent callers that need per-query
+  /// stats. Resolve() followed by Execute().
   Result<QueryOutcome> QueryWithStats(const std::string& query_text,
                                       sparql::ExecStats* stats);
+
+  /// Step 1 of a query: counts it as served, then looks the text up in the
+  /// prepared-statement tier and parses it on a miss (Executor::Resolve).
+  /// Nothing is planned, cached or executed yet, so a caller may inspect
+  /// the AST and drop the query (the simulated endpoints' dialect gate).
+  Result<sparql::ResolvedQuery> Resolve(std::string_view query_text);
+
+  /// Step 2: plans a miss (inserting it into the text tier) and executes;
+  /// `stats` receives this query's execution stats.
+  Result<QueryOutcome> Execute(sparql::ResolvedQuery resolved,
+                               sparql::ExecStats* stats);
 
   const std::string& url() const override { return url_; }
   const std::string& name() const override { return name_; }
@@ -97,15 +107,6 @@ class LocalEndpoint : public SparqlEndpoint {
 
   const sparql::PlanCache& plan_cache() const { return plan_cache_; }
 
-  /// Execution stats of the most recent completed query. Only meaningful
-  /// when no other query is in flight; concurrent callers should use
-  /// QueryWithStats() instead. Returns a copy (the slot is guarded by a
-  /// small mutex, not the query path).
-  sparql::ExecStats last_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return last_stats_;
-  }
-
  private:
   std::string url_;
   std::string name_;
@@ -114,8 +115,6 @@ class LocalEndpoint : public SparqlEndpoint {
   sparql::PlanCache plan_cache_;
   sparql::Executor executor_;
   std::atomic<uint64_t> hash_join_builds_{0};
-  mutable std::mutex stats_mu_;  // guards last_stats_ only, never the query
-  sparql::ExecStats last_stats_;
   std::atomic<size_t> queries_served_{0};
 };
 

@@ -6,7 +6,6 @@
 
 #include "common/hash.h"
 #include "rdf/vocab.h"
-#include "sparql/parser.h"
 
 namespace hbold::endpoint {
 
@@ -409,10 +408,13 @@ Result<QueryOutcome> SimulatedRemoteEndpoint::Query(
     return Status::Unavailable("endpoint " + url() + " is down on day " +
                                std::to_string(clock_->NowDay()));
   }
-  // Dialect gate: parse first so feature rejection happens before any work,
-  // as a real server would reject at query planning time.
-  HBOLD_ASSIGN_OR_RETURN(sparql::SelectQuery parsed,
-                         sparql::ParseQuery(query_text));
+  // Dialect gate on the resolved AST (a text-tier hit or the one parse of
+  // a miss): rejection happens before any planning or execution, as a
+  // real server would reject at query planning time, so a rejected text
+  // is never planned, cached or counted by the plan cache.
+  HBOLD_ASSIGN_OR_RETURN(sparql::ResolvedQuery resolved,
+                         local_.Resolve(query_text));
+  const sparql::SelectQuery& parsed = resolved.query();
   if (!dialect_.supports_aggregates && parsed.UsesAggregates()) {
     return Status::Unsupported("endpoint " + url() +
                                " does not implement aggregates");
@@ -423,10 +425,10 @@ Result<QueryOutcome> SimulatedRemoteEndpoint::Query(
   }
 
   // Per-query stats live on this stack frame, so concurrent queries never
-  // contend on (or corrupt) a shared last-stats slot.
+  // share them.
   sparql::ExecStats stats;
   HBOLD_ASSIGN_OR_RETURN(QueryOutcome outcome,
-                         local_.QueryWithStats(query_text, &stats));
+                         local_.Execute(std::move(resolved), &stats));
 
   if (dialect_.work_budget_bindings > 0 &&
       stats.intermediate_bindings > dialect_.work_budget_bindings) {

@@ -163,7 +163,7 @@ struct LatencyModel {
 ///
 /// Thread safety: Query() runs fully concurrently — the dialect gate and
 /// availability check are read-only, per-query execution stats live on the
-/// caller's stack (the inner LocalEndpoint's QueryWithStats form), and the
+/// caller's stack (the inner LocalEndpoint's Resolve/Execute pair), and the
 /// served counter is atomic. The latency the simulation *charges* is still
 /// computed from the deterministic cost model, not slept, so concurrent
 /// batched queries stay bit-identical to sequential ones while the real

@@ -55,8 +55,7 @@ Status ErrnoStatus(const std::string& what, const std::string& path) {
 inline void Permute(RunOrder order, const Triple& t, uint32_t k[3]) {
   switch (order) {
     case RunOrder::kSpo:
-      k[0] = t.s; k[1] = t.p; k[2] = t.o;
-      return;
+      break;
     case RunOrder::kPos:
       k[0] = t.p; k[1] = t.o; k[2] = t.s;
       return;
@@ -64,6 +63,8 @@ inline void Permute(RunOrder order, const Triple& t, uint32_t k[3]) {
       k[0] = t.o; k[1] = t.s; k[2] = t.p;
       return;
   }
+  // kSpo, and the fallback that keeps every path writing all of `k`.
+  k[0] = t.s; k[1] = t.p; k[2] = t.o;
 }
 
 inline Triple Unpermute(RunOrder order, const uint32_t k[3]) {

@@ -1641,26 +1641,38 @@ Executor::Executor(const rdf::TripleStore* store, ExecOptions options,
 
 Result<ResultTable> Executor::Execute(std::string_view query_text,
                                       ExecStats* stats) const {
+  HBOLD_ASSIGN_OR_RETURN(ResolvedQuery resolved, Resolve(query_text));
+  return Execute(std::move(resolved), stats);
+}
+
+Result<ResolvedQuery> Executor::Resolve(std::string_view query_text) const {
+  ResolvedQuery resolved;
   if (plan_cache_ != nullptr) {
     // Prepared-statement tier: a repeated text skips parse AND planning.
-    const uint64_t generation = store_->generation();
-    std::string text(query_text);
-    std::shared_ptr<const PreparedQuery> prepared =
-        plan_cache_->LookupPrepared(text, generation);
-    if (prepared != nullptr) {
-      if (stats != nullptr) ++stats->plan_cache_hits;
-      return ExecutePlanned(prepared->query, *prepared->plan, stats);
-    }
-    HBOLD_ASSIGN_OR_RETURN(SelectQuery q, ParseQuery(query_text));
-    std::shared_ptr<const QueryPlan> plan = AcquirePlan(q, stats);
-    auto insert = std::make_shared<PreparedQuery>();
-    insert->query = std::move(q);
-    insert->plan = plan;
-    plan_cache_->InsertPrepared(text, generation, insert);
-    return ExecutePlanned(insert->query, *plan, stats);
+    resolved.generation_ = store_->generation();
+    resolved.text_ = std::string(query_text);
+    resolved.prepared_ =
+        plan_cache_->LookupPrepared(resolved.text_, resolved.generation_);
+    if (resolved.prepared_ != nullptr) return resolved;
   }
-  HBOLD_ASSIGN_OR_RETURN(SelectQuery q, ParseQuery(query_text));
-  return Execute(q, stats);
+  HBOLD_ASSIGN_OR_RETURN(resolved.parsed_, ParseQuery(query_text));
+  return resolved;
+}
+
+Result<ResultTable> Executor::Execute(ResolvedQuery resolved,
+                                      ExecStats* stats) const {
+  if (resolved.prepared_ != nullptr) {
+    if (stats != nullptr) ++stats->plan_cache_hits;
+    return ExecutePlanned(resolved.prepared_->query, *resolved.prepared_->plan,
+                          stats);
+  }
+  if (plan_cache_ == nullptr) return Execute(resolved.parsed_, stats);
+  std::shared_ptr<const QueryPlan> plan = AcquirePlan(resolved.parsed_, stats);
+  auto insert = std::make_shared<PreparedQuery>();
+  insert->query = std::move(resolved.parsed_);
+  insert->plan = plan;
+  plan_cache_->InsertPrepared(resolved.text_, resolved.generation_, insert);
+  return ExecutePlanned(insert->query, *plan, stats);
 }
 
 std::shared_ptr<const QueryPlan> Executor::AcquirePlan(const SelectQuery& q,

@@ -1,6 +1,8 @@
 #ifndef HBOLD_SPARQL_EXECUTOR_H_
 #define HBOLD_SPARQL_EXECUTOR_H_
 
+#include <memory>
+#include <string>
 #include <string_view>
 
 #include "common/result.h"
@@ -42,6 +44,26 @@ struct ExecStats {
   size_t hash_join_spills = 0;
 };
 
+/// A query text resolved against the prepared-statement tier: the cached
+/// PreparedQuery on a text-tier hit, otherwise the freshly parsed AST, not
+/// yet planned. Executor::Resolve produces it and Executor::Execute
+/// consumes it; in between, callers may inspect query() (the simulated
+/// endpoints' dialect gate does), and dropping an unexecuted miss leaves
+/// the plan cache untouched.
+class ResolvedQuery {
+ public:
+  const SelectQuery& query() const {
+    return prepared_ != nullptr ? prepared_->query : parsed_;
+  }
+
+ private:
+  friend class Executor;
+  std::shared_ptr<const PreparedQuery> prepared_;  // text-tier hit
+  SelectQuery parsed_;                             // miss: parsed only
+  std::string text_;         // miss with a cache: the text-tier key
+  uint64_t generation_ = 0;  // store generation the text was resolved at
+};
+
 /// Evaluates SELECT queries against a TripleStore.
 ///
 /// Evaluation strategy: the cost-based planner (sparql/planner.h) fixes a
@@ -65,11 +87,20 @@ class Executor {
   explicit Executor(const rdf::TripleStore* store, ExecOptions options = {},
                     PlanCache* plan_cache = nullptr);
 
-  /// Parses and executes `query_text`. With a plan cache attached, a
-  /// repeated text is served from the prepared-statement tier — no parse,
-  /// no planning; a new spelling of a cached WHERE tree still shares its
-  /// plan through the normalized tier.
+  /// Resolve(query_text) then Execute(resolved). With a plan cache
+  /// attached, a repeated text is served from the prepared-statement tier
+  /// — no parse, no planning; a new spelling of a cached WHERE tree still
+  /// shares its plan through the normalized tier.
   Result<ResultTable> Execute(std::string_view query_text,
+                              ExecStats* stats = nullptr) const;
+
+  /// Step 1: looks `query_text` up in the text tier (a hit is counted by
+  /// the cache) and parses it on a miss. Plans nothing.
+  Result<ResolvedQuery> Resolve(std::string_view query_text) const;
+
+  /// Step 2: runs a resolved query. A miss is planned here and inserted
+  /// into the text tier before it runs.
+  Result<ResultTable> Execute(ResolvedQuery resolved,
                               ExecStats* stats = nullptr) const;
 
   /// Executes an already-parsed query (normalized plan-cache tier only).

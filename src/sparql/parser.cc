@@ -1,5 +1,7 @@
 #include "sparql/parser.h"
 
+#include <charconv>
+
 #include "common/string_util.h"
 #include "rdf/vocab.h"
 #include "sparql/lexer.h"
@@ -105,18 +107,10 @@ class Parser {
         if (q.order_by.empty()) return Err("empty ORDER BY");
         continue;
       }
-      if (IsKeyword("LIMIT")) {
+      if (IsKeyword("LIMIT") || IsKeyword("OFFSET")) {
+        std::optional<size_t>& slot = IsKeyword("LIMIT") ? q.limit : q.offset;
         ++pos_;
-        if (Cur().kind != TokenKind::kNumber) return Err("expected number");
-        q.limit = static_cast<size_t>(std::stoll(Cur().text));
-        ++pos_;
-        continue;
-      }
-      if (IsKeyword("OFFSET")) {
-        ++pos_;
-        if (Cur().kind != TokenKind::kNumber) return Err("expected number");
-        q.offset = static_cast<size_t>(std::stoll(Cur().text));
-        ++pos_;
+        HBOLD_ASSIGN_OR_RETURN(slot, ParseCount());
         continue;
       }
       break;
@@ -130,6 +124,24 @@ class Parser {
 
   bool IsKeyword(std::string_view kw) const {
     return Cur().kind == TokenKind::kKeyword && Cur().text == kw;
+  }
+
+  /// A LIMIT/OFFSET operand: an unsigned integer that fits size_t. Signed,
+  /// fractional and overflowing numbers are parse errors.
+  Result<size_t> ParseCount() {
+    if (Cur().kind != TokenKind::kNumber) return ErrSt("expected number");
+    const std::string& text = Cur().text;
+    const char* end = text.data() + text.size();
+    size_t value = 0;
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc::result_out_of_range) {
+      return ErrSt("number out of range '" + text + "'");
+    }
+    if (ec != std::errc() || ptr != end) {
+      return ErrSt("expected non-negative integer, got '" + text + "'");
+    }
+    ++pos_;
+    return value;
   }
 
   template <typename T = SelectQuery>

@@ -107,6 +107,85 @@ TEST_F(EndpointTest, WorkBudgetTimesOut) {
   EXPECT_TRUE(r.status().IsTimeout());
 }
 
+// ------------------------------------------- Dialect gate vs. text tier
+
+TEST_F(EndpointTest, RejectedTextIsNeverCachedOrCounted) {
+  struct Case {
+    Dialect dialect;
+    const char* rejected;
+  };
+  for (const Case& c :
+       {Case{Dialect::NoAggregates(),
+             "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o . }"},
+        Case{Dialect::NoGroupBy(),
+             "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c . } GROUP BY ?c"}}) {
+    SimulatedRemoteEndpoint ep("u", "n", &store_, &clock_, c.dialect);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      auto r = ep.Query(c.rejected);
+      ASSERT_FALSE(r.ok()) << c.rejected;
+      EXPECT_TRUE(r.status().IsUnsupported()) << r.status();
+      const QueryEngineStats s = ep.engine_stats();
+      EXPECT_EQ(s.plan_cache_hits, 0u) << c.rejected << " attempt " << attempt;
+      EXPECT_EQ(s.plan_cache_misses, 0u) << c.rejected << " attempt " << attempt;
+    }
+    EXPECT_EQ(ep.queries_served(), 2u);
+  }
+}
+
+TEST_F(EndpointTest, TextTierHitKeepsRowCapAndLatency) {
+  SimulatedRemoteEndpoint ep("u", "n", &store_, &clock_, Dialect::RowCapped(2));
+  const std::string q = "SELECT ?s ?p ?o WHERE { ?s ?p ?o . }";
+  auto first = ep.Query(q);
+  ASSERT_TRUE(first.ok()) << first.status();
+  const QueryEngineStats before = ep.engine_stats();
+  EXPECT_EQ(before.plan_cache_misses, 1u);
+
+  auto second = ep.Query(q);
+  ASSERT_TRUE(second.ok()) << second.status();
+  const QueryEngineStats after = ep.engine_stats();
+  EXPECT_EQ(after.plan_cache_hits, before.plan_cache_hits + 1);
+  EXPECT_EQ(after.plan_cache_misses, before.plan_cache_misses);
+  EXPECT_EQ(second->table.num_rows(), 2u);
+  EXPECT_TRUE(second->truncated);
+  EXPECT_EQ(second->table.ToCsv(), first->table.ToCsv());
+  EXPECT_EQ(second->latency_ms, first->latency_ms);
+}
+
+TEST_F(EndpointTest, TextTierHitStillTimesOut) {
+  Dialect d;
+  d.work_budget_bindings = 1;
+  SimulatedRemoteEndpoint ep("u", "n", &store_, &clock_, d);
+  const std::string q = "SELECT ?s ?p ?o WHERE { ?s ?p ?o . }";
+  auto first = ep.Query(q);
+  ASSERT_FALSE(first.ok());
+  EXPECT_TRUE(first.status().IsTimeout());
+  EXPECT_EQ(ep.engine_stats().plan_cache_misses, 1u);
+
+  auto second = ep.Query(q);
+  ASSERT_FALSE(second.ok());
+  EXPECT_TRUE(second.status().IsTimeout()) << second.status();
+  EXPECT_EQ(second.status().message(), first.status().message());
+  EXPECT_EQ(ep.engine_stats().plan_cache_hits, 1u);
+  EXPECT_EQ(ep.engine_stats().plan_cache_misses, 1u);
+}
+
+TEST_F(EndpointTest, LocalEndpointResolveThenExecute) {
+  LocalEndpoint ep("u", "n", &store_);
+  const std::string q = "SELECT ?s WHERE { ?s a <http://x/C> . }";
+  auto resolved = ep.Resolve(q);
+  ASSERT_TRUE(resolved.ok()) << resolved.status();
+  EXPECT_EQ(ep.queries_served(), 1u);
+  EXPECT_EQ(ep.engine_stats().plan_cache_misses, 0u);  // not planned yet
+  sparql::ExecStats stats;
+  auto r = ep.Execute(std::move(*resolved), &stats);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->table.num_rows(), 2u);
+  EXPECT_EQ(stats.plan_cache_misses, 1u);
+  EXPECT_EQ(ep.engine_stats().plan_cache_misses, 1u);
+  EXPECT_TRUE(ep.Resolve("SELECT garbage").status().IsParseError());
+  EXPECT_EQ(ep.queries_served(), 2u);
+}
+
 // ---------------------------------------------------------------- Availability
 
 TEST_F(EndpointTest, ForcedOutageDaysAreDown) {

@@ -116,6 +116,49 @@ TEST(PlanCacheTest, DifferentConstantsMiss) {
   EXPECT_EQ(cs.entries, 2u);
 }
 
+// ------------------------------------------------- resolve, then execute
+
+TEST(PlanCacheTest, ResolveAloneNeitherPlansNorCounts) {
+  rdf::TripleStore store = MakeSmallStore();
+  PlanCache cache;
+  Executor ex(&store, ExecOptions{}, &cache);
+  const std::string q = "SELECT ?a WHERE { ?a <http://x/p> ?b . }";
+
+  // A resolved miss that is dropped unexecuted leaves no trace.
+  auto dropped = ex.Resolve(q);
+  ASSERT_TRUE(dropped.ok()) << dropped.status();
+  EXPECT_EQ(dropped->query().vars, (std::vector<std::string>{"a"}));
+  PlanCacheStats cs = cache.stats();
+  EXPECT_EQ(cs.hits + cs.misses, 0u);
+  EXPECT_EQ(cs.entries, 0u);
+
+  // Executing a miss plans it and inserts it into the text tier.
+  auto first = ex.Resolve(q);
+  ASSERT_TRUE(first.ok());
+  ExecStats s1;
+  auto r1 = ex.Execute(std::move(*first), &s1);
+  ASSERT_TRUE(r1.ok()) << r1.status();
+  EXPECT_EQ(s1.plan_cache_misses, 1u);
+
+  // The same text now resolves from the text tier, AST included.
+  auto second = ex.Resolve(q);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->query().vars, (std::vector<std::string>{"a"}));
+  ExecStats s2;
+  auto r2 = ex.Execute(std::move(*second), &s2);
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(s2.plan_cache_hits, 1u);
+  EXPECT_EQ(s2.plan_cache_misses, 0u);
+  EXPECT_EQ(r2->ToCsv(), r1->ToCsv());
+  EXPECT_EQ(s2.intermediate_bindings, s1.intermediate_bindings);
+  cs = cache.stats();
+  EXPECT_EQ(cs.hits, 1u);
+  EXPECT_EQ(cs.misses, 1u);
+
+  EXPECT_TRUE(ex.Resolve("SELECT garbage").status().IsParseError());
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 2u);
+}
+
 // ----------------------------------------------- generation invalidation
 
 TEST(PlanCacheTest, IncrementalLoadInvalidatesByGeneration) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "rdf/graph.h"
 #include "rdf/turtle.h"
 #include "rdf/vocab.h"
@@ -109,6 +111,53 @@ TEST(LexerTest, RejectsStrayCharacters) {
   EXPECT_FALSE(Tokenize("\"unterminated").ok());
 }
 
+TEST(LexerTest, KeywordMatchIsWholeWordAndCaseInsensitive) {
+  auto toks = Tokenize("SeLeCt IsLiTeRaL lcase Optional");
+  ASSERT_TRUE(toks.ok()) << toks.status();
+  ASSERT_EQ(toks->size(), 5u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ((*toks)[i].kind, TokenKind::kKeyword);
+  }
+  EXPECT_EQ((*toks)[0].text, "SELECT");
+  EXPECT_EQ((*toks)[1].text, "ISLITERAL");
+  EXPECT_EQ((*toks)[2].text, "LCASE");
+  EXPECT_EQ((*toks)[3].text, "OPTIONAL");
+  EXPECT_EQ((*toks)[3].offset, 23u);
+  // Prefixes, suffixes and longer words of a keyword are not keywords.
+  for (const char* word : {"SELEC", "SELECTS", "ISLITERALS", "B", "ASKING",
+                           "longer_than_any_keyword"}) {
+    auto r = Tokenize(word);
+    ASSERT_FALSE(r.ok()) << word;
+    EXPECT_NE(r.status().message().find(std::string("unknown word '") + word +
+                                        "'"),
+              std::string::npos)
+        << r.status();
+  }
+}
+
+TEST(LexerTest, LowercaseAIsRdfTypeOnly) {
+  auto toks = Tokenize("?s a ?c");
+  ASSERT_TRUE(toks.ok());
+  EXPECT_EQ((*toks)[1].kind, TokenKind::kA);
+  EXPECT_EQ((*toks)[1].text, "a");
+  // Uppercase 'A' is neither rdf:type nor a keyword.
+  EXPECT_FALSE(Tokenize("?s A ?c").ok());
+  // 'as' in any case is the AS keyword.
+  auto as = Tokenize("as");
+  ASSERT_TRUE(as.ok());
+  EXPECT_EQ((*as)[0].kind, TokenKind::kKeyword);
+  EXPECT_EQ((*as)[0].text, "AS");
+}
+
+TEST(LexerTest, PrefixedNamesKeepTheirSpelling) {
+  auto toks = Tokenize("Select:Where ex:a-b_1 :local");
+  ASSERT_TRUE(toks.ok()) << toks.status();
+  EXPECT_EQ((*toks)[0].kind, TokenKind::kPname);
+  EXPECT_EQ((*toks)[0].text, "Select:Where");
+  EXPECT_EQ((*toks)[1].text, "ex:a-b_1");
+  EXPECT_EQ((*toks)[2].text, ":local");
+}
+
 // ---------------------------------------------------------------- Parser
 
 TEST(ParserTest, ParsesProjectionAndPrefixes) {
@@ -187,6 +236,39 @@ TEST(ParserTest, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseQuery("SELECT ?s WHERE { ?s ?p ?o . } trailing").ok());
   EXPECT_FALSE(
       ParseQuery("SELECT (SUM(?x) AS ?s) WHERE { ?a ?b ?x . }").ok());
+}
+
+TEST(ParserTest, LimitAndOffsetOverflowIsAParseError) {
+  // Past size_t (and int64): used to throw out of ParseQuery.
+  for (const char* q : {"SELECT ?s WHERE { ?s ?p ?o . } LIMIT 99999999999999999999",
+                        "SELECT ?s WHERE { ?s ?p ?o . } OFFSET 99999999999999999999",
+                        "SELECT ?s WHERE { ?s ?p ?o . } LIMIT 1 "
+                        "OFFSET 99999999999999999999"}) {
+    auto r = ParseQuery(q);
+    ASSERT_FALSE(r.ok()) << q;
+    EXPECT_TRUE(r.status().IsParseError()) << r.status();
+  }
+  // The largest size_t still parses.
+  auto max = ParseQuery(
+      "SELECT ?s WHERE { ?s ?p ?o . } LIMIT 18446744073709551615");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ(max->limit, std::numeric_limits<size_t>::max());
+}
+
+TEST(ParserTest, LimitAndOffsetRejectSignedAndFractionalValues) {
+  for (const char* q : {"SELECT ?s WHERE { ?s ?p ?o . } LIMIT -5",
+                        "SELECT ?s WHERE { ?s ?p ?o . } OFFSET -1",
+                        "SELECT ?s WHERE { ?s ?p ?o . } LIMIT +5",
+                        "SELECT ?s WHERE { ?s ?p ?o . } LIMIT 1.5",
+                        "SELECT ?s WHERE { ?s ?p ?o . } OFFSET 1e3"}) {
+    auto r = ParseQuery(q);
+    ASSERT_FALSE(r.ok()) << q;
+    EXPECT_TRUE(r.status().IsParseError()) << r.status();
+  }
+  auto zero = ParseQuery("SELECT ?s WHERE { ?s ?p ?o . } LIMIT 0 OFFSET 0");
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  EXPECT_EQ(zero->limit, 0u);
+  EXPECT_EQ(zero->offset, 0u);
 }
 
 TEST(ParserTest, ParsesSemicolonAndCommaLists) {
