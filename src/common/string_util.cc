@@ -123,30 +123,45 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
   return out;
 }
 
-std::string XmlEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+void AppendXmlEscaped(std::string* out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '&':
-        out += "&amp;";
+        out->append("&amp;");
         break;
       case '<':
-        out += "&lt;";
+        out->append("&lt;");
         break;
       case '>':
-        out += "&gt;";
+        out->append("&gt;");
         break;
       case '"':
-        out += "&quot;";
+        out->append("&quot;");
         break;
       case '\'':
-        out += "&apos;";
+        out->append("&apos;");
+        break;
+      case '\t':
+      case '\n':
+      case '\r':
+        out->push_back(c);
         break;
       default:
-        out += c;
+        // XML 1.0 has no representation for the other C0 controls, not
+        // even as character references.
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out->append("\xEF\xBF\xBD");  // U+FFFD
+        } else {
+          out->push_back(c);
+        }
     }
   }
+}
+
+std::string XmlEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendXmlEscaped(&out, s);
   return out;
 }
 

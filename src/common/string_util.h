@@ -47,7 +47,12 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
                        std::string_view to);
 
 /// Escapes a string for embedding in XML/SVG text or attribute content.
+/// The C0 control characters XML 1.0 forbids (all but tab, newline and
+/// carriage return) become U+FFFD.
 std::string XmlEscape(std::string_view s);
+
+/// XmlEscape that appends to `out` instead of returning a new string.
+void AppendXmlEscaped(std::string* out, std::string_view s);
 
 /// Matches `text` against a regex subset without ever constructing a
 /// std::regex (which allocates and compiles an NFA per call — far too

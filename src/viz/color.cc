@@ -1,14 +1,15 @@
 #include "viz/color.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace hbold::viz {
 
 std::string Color::ToHex() const {
-  char buf[8];
-  std::snprintf(buf, sizeof(buf), "#%02x%02x%02x", r, g, b);
-  return buf;
+  static constexpr char kDigits[] = "0123456789abcdef";
+  return std::string{'#',
+                     kDigits[r >> 4], kDigits[r & 15],
+                     kDigits[g >> 4], kDigits[g & 15],
+                     kDigits[b >> 4], kDigits[b & 15]};
 }
 
 Color FromHsl(double h, double s, double l) {

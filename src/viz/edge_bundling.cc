@@ -35,14 +35,16 @@ std::vector<Point> SampleBSpline(const std::vector<Point>& control,
   // Clamp the spline to its endpoints by tripling them (standard trick for
   // endpoint interpolation with uniform cubic B-splines).
   std::vector<Point> pts;
+  pts.reserve(control.size() + 4);
   pts.push_back(control.front());
   pts.push_back(control.front());
   pts.insert(pts.end(), control.begin(), control.end());
   pts.push_back(control.back());
   pts.push_back(control.back());
 
-  std::vector<Point> out;
   const size_t segments = pts.size() - 3;
+  std::vector<Point> out;
+  out.reserve(segments * samples_per_segment + 1);
   for (size_t seg = 0; seg < segments; ++seg) {
     const Point& p0 = pts[seg];
     const Point& p1 = pts[seg + 1];

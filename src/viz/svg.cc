@@ -1,66 +1,103 @@
 #include "viz/svg.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
+#include <string_view>
 
 #include "common/string_util.h"
 
 namespace hbold::viz {
 
 namespace {
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
+
+// Appends `prefix`, then `v` exactly as printf("%.2f") writes it: both
+// round the exact binary value to two decimals, ties to even, and spell
+// out inf and nan.
+void Put(std::string* out, std::string_view prefix, double v) {
+  out->append(prefix);
+  char buf[320];  // "-" + 309 integer digits of DBL_MAX + ".00"
+  auto res =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, 2);
+  out->append(buf, res.ptr);
 }
+
 }  // namespace
 
 SvgDocument::SvgDocument(double width, double height)
     : width_(width), height_(height) {}
 
-std::string SvgDocument::StyleAttrs(const Style& style) const {
-  std::string out = " fill=\"" + style.fill + "\"";
+void SvgDocument::EndElement(const Style& style) {
+  body_ += " fill=\"";
+  body_ += style.fill;
+  body_ += '"';
   if (style.stroke != "none") {
-    out += " stroke=\"" + style.stroke + "\" stroke-width=\"" +
-           Num(style.stroke_width) + "\"";
+    body_ += " stroke=\"";
+    body_ += style.stroke;
+    Put(&body_, "\" stroke-width=\"", style.stroke_width);
+    body_ += '"';
   }
   if (style.opacity < 1.0) {
-    out += " opacity=\"" + Num(style.opacity) + "\"";
+    Put(&body_, " opacity=\"", style.opacity);
+    body_ += '"';
   }
-  return out;
+  body_ += "/>\n";
+  ++element_count_;
 }
 
 void SvgDocument::AddRect(const Rect& r, const Style& style,
                           double corner_radius) {
-  std::string el = "<rect x=\"" + Num(r.x) + "\" y=\"" + Num(r.y) +
-                   "\" width=\"" + Num(r.w) + "\" height=\"" + Num(r.h) + "\"";
-  if (corner_radius > 0) el += " rx=\"" + Num(corner_radius) + "\"";
-  el += StyleAttrs(style) + "/>";
-  elements_.push_back(std::move(el));
+  Put(&body_, "<rect x=\"", r.x);
+  Put(&body_, "\" y=\"", r.y);
+  Put(&body_, "\" width=\"", r.w);
+  Put(&body_, "\" height=\"", r.h);
+  body_ += '"';
+  if (corner_radius > 0) {
+    Put(&body_, " rx=\"", corner_radius);
+    body_ += '"';
+  }
+  EndElement(style);
 }
 
 void SvgDocument::AddCircle(const Circle& c, const Style& style) {
-  elements_.push_back("<circle cx=\"" + Num(c.x) + "\" cy=\"" + Num(c.y) +
-                      "\" r=\"" + Num(c.r) + "\"" + StyleAttrs(style) + "/>");
+  Put(&body_, "<circle cx=\"", c.x);
+  Put(&body_, "\" cy=\"", c.y);
+  Put(&body_, "\" r=\"", c.r);
+  body_ += '"';
+  EndElement(style);
 }
 
 void SvgDocument::AddLine(const Point& a, const Point& b, const Style& style) {
-  elements_.push_back("<line x1=\"" + Num(a.x) + "\" y1=\"" + Num(a.y) +
-                      "\" x2=\"" + Num(b.x) + "\" y2=\"" + Num(b.y) + "\"" +
-                      StyleAttrs(style) + "/>");
+  Put(&body_, "<line x1=\"", a.x);
+  Put(&body_, "\" y1=\"", a.y);
+  Put(&body_, "\" x2=\"", b.x);
+  Put(&body_, "\" y2=\"", b.y);
+  body_ += '"';
+  EndElement(style);
 }
 
 void SvgDocument::AddPolyline(const std::vector<Point>& points,
                               const Style& style) {
+  AppendPolyline(points, nullptr, style);
+}
+
+void SvgDocument::AddPolyline(const std::vector<Point>& points,
+                              const Point& offset, const Style& style) {
+  AppendPolyline(points, &offset, style);
+}
+
+void SvgDocument::AppendPolyline(const std::vector<Point>& points,
+                                 const Point* offset, const Style& style) {
   if (points.size() < 2) return;
-  std::string el = "<polyline points=\"";
+  body_ += "<polyline points=\"";
   for (size_t i = 0; i < points.size(); ++i) {
-    if (i > 0) el += ' ';
-    el += Num(points[i].x) + "," + Num(points[i].y);
+    // No offset means no addition: -0.0 + 0.0 would print as "0.00".
+    const Point& p = points[i];
+    Put(&body_, i > 0 ? " " : "", offset ? p.x + offset->x : p.x);
+    Put(&body_, ",", offset ? p.y + offset->y : p.y);
   }
-  el += "\"" + StyleAttrs(style) + "/>";
-  elements_.push_back(std::move(el));
+  body_ += '"';
+  EndElement(style);
 }
 
 void SvgDocument::AddAnnularSector(const Point& center, double r0, double r1,
@@ -72,46 +109,58 @@ void SvgDocument::AddAnnularSector(const Point& center, double r0, double r1,
     AddAnnularSector(center, r0, r1, mid, a1, style);
     return;
   }
-  auto at = [&](double r, double a) {
-    return Point{center.x + r * std::cos(a), center.y + r * std::sin(a)};
+  auto to = [&](std::string_view command, double r, double a) {
+    Put(&body_, command, center.x + r * std::cos(a));
+    Put(&body_, " ", center.y + r * std::sin(a));
   };
-  Point p0 = at(r1, a0), p1 = at(r1, a1), p2 = at(r0, a1), p3 = at(r0, a0);
-  int large = (a1 - a0) > kPi ? 1 : 0;
-  std::string el = "<path d=\"M " + Num(p0.x) + " " + Num(p0.y);
-  el += " A " + Num(r1) + " " + Num(r1) + " 0 " + std::to_string(large) +
-        " 1 " + Num(p1.x) + " " + Num(p1.y);
-  el += " L " + Num(p2.x) + " " + Num(p2.y);
-  el += " A " + Num(r0) + " " + Num(r0) + " 0 " + std::to_string(large) +
-        " 0 " + Num(p3.x) + " " + Num(p3.y);
-  el += " Z\"" + StyleAttrs(style) + "/>";
-  elements_.push_back(std::move(el));
+  auto arc = [&](double r, std::string_view flags, double a) {
+    Put(&body_, " A ", r);
+    Put(&body_, " ", r);
+    to(flags, r, a);
+  };
+  const bool large = (a1 - a0) > kPi;
+  to("<path d=\"M ", r1, a0);
+  arc(r1, large ? " 0 1 1 " : " 0 0 1 ", a1);
+  to(" L ", r0, a1);
+  arc(r0, large ? " 0 1 0 " : " 0 0 0 ", a0);
+  body_ += " Z\"";
+  EndElement(style);
 }
 
 void SvgDocument::AddText(const Point& p, const std::string& text,
                           double font_size, const std::string& fill,
                           const std::string& anchor, double rotate_deg) {
-  std::string el = "<text x=\"" + Num(p.x) + "\" y=\"" + Num(p.y) +
-                   "\" font-size=\"" + Num(font_size) +
-                   "\" font-family=\"sans-serif\" fill=\"" + fill +
-                   "\" text-anchor=\"" + anchor + "\"";
+  Put(&body_, "<text x=\"", p.x);
+  Put(&body_, "\" y=\"", p.y);
+  Put(&body_, "\" font-size=\"", font_size);
+  body_ += "\" font-family=\"sans-serif\" fill=\"";
+  body_ += fill;
+  body_ += "\" text-anchor=\"";
+  body_ += anchor;
+  body_ += '"';
   if (rotate_deg != 0) {
-    el += " transform=\"rotate(" + Num(rotate_deg) + " " + Num(p.x) + " " +
-          Num(p.y) + ")\"";
+    Put(&body_, " transform=\"rotate(", rotate_deg);
+    Put(&body_, " ", p.x);
+    Put(&body_, " ", p.y);
+    body_ += ")\"";
   }
-  el += ">" + XmlEscape(text) + "</text>";
-  elements_.push_back(std::move(el));
+  body_ += '>';
+  AppendXmlEscaped(&body_, text);
+  body_ += "</text>\n";
+  ++element_count_;
 }
 
 std::string SvgDocument::ToString() const {
-  std::string out = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
-  out += "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" + Num(width_) +
-         "\" height=\"" + Num(height_) + "\" viewBox=\"0 0 " + Num(width_) +
-         " " + Num(height_) + "\">\n";
+  std::string out;
+  out.reserve(body_.size() + 256);
+  out += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
+  Put(&out, "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"", width_);
+  Put(&out, "\" height=\"", height_);
+  Put(&out, "\" viewBox=\"0 0 ", width_);
+  Put(&out, " ", height_);
+  out += "\">\n";
   out += "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
-  for (const std::string& el : elements_) {
-    out += el;
-    out += '\n';
-  }
+  out += body_;
   out += "</svg>\n";
   return out;
 }

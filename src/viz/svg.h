@@ -2,12 +2,11 @@
 #define HBOLD_VIZ_SVG_H_
 
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "viz/color.h"
 #include "viz/geometry.h"
-
-#include <vector>
 
 namespace hbold::viz {
 
@@ -35,7 +34,9 @@ struct Style {
 };
 
 /// Minimal SVG document builder. Coordinates are in user units; the
-/// document carries width/height and an equal viewBox.
+/// document carries width/height and an equal viewBox. Every number is
+/// written like printf("%.2f"). Elements are serialized as they are added,
+/// into one buffer.
 class SvgDocument {
  public:
   SvgDocument(double width, double height);
@@ -47,6 +48,9 @@ class SvgDocument {
   void AddCircle(const Circle& c, const Style& style);
   void AddLine(const Point& a, const Point& b, const Style& style);
   void AddPolyline(const std::vector<Point>& points, const Style& style);
+  /// The polyline translated by `offset`; `points` is not copied.
+  void AddPolyline(const std::vector<Point>& points, const Point& offset,
+                   const Style& style);
   /// Annular sector between radii r0..r1 and angles a0..a1 (radians),
   /// centered at `center` — the sunburst building block.
   void AddAnnularSector(const Point& center, double r0, double r1, double a0,
@@ -57,7 +61,7 @@ class SvgDocument {
                const std::string& anchor = "start", double rotate_deg = 0);
 
   /// Number of elements added so far.
-  size_t ElementCount() const { return elements_.size(); }
+  size_t ElementCount() const { return element_count_; }
 
   /// Serializes the document.
   std::string ToString() const;
@@ -66,11 +70,15 @@ class SvgDocument {
   Status WriteFile(const std::string& path) const;
 
  private:
-  std::string StyleAttrs(const Style& style) const;
+  void AppendPolyline(const std::vector<Point>& points, const Point* offset,
+                      const Style& style);
+  /// Appends the style attributes and closes the element's line.
+  void EndElement(const Style& style);
 
   double width_;
   double height_;
-  std::vector<std::string> elements_;
+  std::string body_;  // one line per element
+  size_t element_count_ = 0;
 };
 
 }  // namespace hbold::viz

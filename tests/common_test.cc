@@ -156,6 +156,27 @@ TEST(StringUtilTest, ReplaceAll) {
 
 TEST(StringUtilTest, XmlEscape) {
   EXPECT_EQ(XmlEscape("<a & \"b\">"), "&lt;a &amp; &quot;b&quot;&gt;");
+  EXPECT_EQ(XmlEscape("it's"), "it&apos;s");
+}
+
+TEST(StringUtilTest, XmlEscapeReplacesIllegalControlCharacters) {
+  // Tab, newline and carriage return are legal XML 1.0 characters.
+  EXPECT_EQ(XmlEscape("a\tb\nc\rd"), "a\tb\nc\rd");
+  const std::string replacement = "\xEF\xBF\xBD";
+  EXPECT_EQ(XmlEscape(std::string("\0", 1)), replacement);
+  for (char c : {'\x01', '\x08', '\x0B', '\x0C', '\x0E', '\x1F'}) {
+    EXPECT_EQ(XmlEscape(std::string(1, c)), replacement) << static_cast<int>(c);
+  }
+  // DEL and multi-byte UTF-8 pass through untouched.
+  EXPECT_EQ(XmlEscape("\x7F caf\xC3\xA9"), "\x7F caf\xC3\xA9");
+}
+
+TEST(StringUtilTest, AppendXmlEscapedAppends) {
+  std::string out = "<t>";
+  AppendXmlEscaped(&out, "x&\x02");
+  EXPECT_EQ(out, "<t>x&amp;\xEF\xBF\xBD");
+  AppendXmlEscaped(&out, "");
+  EXPECT_EQ(out, "<t>x&amp;\xEF\xBF\xBD");
 }
 
 // ---------------------------------------------------------------- JSON

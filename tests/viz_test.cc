@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -14,6 +16,7 @@
 #include "viz/edge_bundling.h"
 #include "viz/force_layout.h"
 #include "viz/hierarchy.h"
+#include "viz/layout_cache.h"
 #include "viz/render.h"
 #include "viz/sunburst.h"
 #include "viz/svg.h"
@@ -530,6 +533,9 @@ TEST(ForceLayoutTest, EdgeCases) {
 
 TEST(ColorTest, HexFormat) {
   EXPECT_EQ((Color{255, 0, 16}).ToHex(), "#ff0010");
+  EXPECT_EQ((Color{0, 0, 0}).ToHex(), "#000000");
+  EXPECT_EQ((Color{255, 255, 255}).ToHex(), "#ffffff");
+  EXPECT_EQ((Color{1, 171, 205}).ToHex(), "#01abcd");
 }
 
 TEST(ColorTest, HslRoundValues) {
@@ -580,6 +586,123 @@ TEST(SvgTest, PolylineNeedsTwoPoints) {
   SvgDocument doc(10, 10);
   doc.AddPolyline({{1, 1}}, Style::Stroke(Color{0, 0, 0}));
   EXPECT_EQ(doc.ElementCount(), 0u);
+}
+
+/// One document with every element kind, and the numbers that trip
+/// fixed-point formatters: negatives, -0.0, an exact binary tie (0.125
+/// rounds to even), values just below a decimal tie (2.675 is stored as
+/// 2.67499...), and large magnitudes.
+SvgDocument GoldenDocument() {
+  SvgDocument doc(640.5, 480.125);
+  doc.AddRect(Rect{-12.5, -0.0, 0.125, 2.675},
+              Style::Fill(Color{1, 171, 205}, 0.5), 3);
+  doc.AddRect(Rect{1e7, 0.005, 0.015, 1.005},
+              Style::Stroke(Color{0, 0, 0}, 0.125));
+  doc.AddCircle(Circle{-0.004, -1e7, 2.675},
+                Style::Stroke(Color{255, 255, 255}, 1.5, 0.333));
+  doc.AddLine(Point{-3.14159, 2.71828}, Point{0.125, -0.125},
+              Style::Stroke(Color{16, 32, 48}));
+  doc.AddPolyline({{0, 0}, {-1.5, 2.25}, {3.335, -4.445}, {1e7, -0.0}},
+                  Style::Fill(Color{9, 8, 7}, 0.999));
+  Style ring = Style::Fill(Color{200, 60, 40});
+  ring.stroke = "#ffffff";
+  ring.stroke_width = 0.8;
+  doc.AddAnnularSector(Point{-50, 50}, 10, 20.125, 0, 2 * kPi, ring);
+  doc.AddText(Point{-5, 7.5}, "a<b & \"c\" 'd'>", 10, "#333", "end", 135.5);
+  return doc;
+}
+
+TEST(SvgTest, GoldenDocumentBytes) {
+  SvgDocument doc = GoldenDocument();
+  EXPECT_EQ(doc.ElementCount(), 8u);  // the full-circle sector is two paths
+  // Recorded from the snprintf("%.2f")-based writer this one replaced.
+  EXPECT_EQ(doc.ToString(),
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+            "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"640.50\" "
+            "height=\"480.12\" viewBox=\"0 0 640.50 480.12\">\n"
+            "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n"
+            "<rect x=\"-12.50\" y=\"-0.00\" width=\"0.12\" height=\"2.67\" "
+            "rx=\"3.00\" fill=\"#01abcd\" opacity=\"0.50\"/>\n"
+            "<rect x=\"10000000.00\" y=\"0.01\" width=\"0.01\" height=\"1.00\" "
+            "fill=\"none\" stroke=\"#000000\" stroke-width=\"0.12\"/>\n"
+            "<circle cx=\"-0.00\" cy=\"-10000000.00\" r=\"2.67\" fill=\"none\" "
+            "stroke=\"#ffffff\" stroke-width=\"1.50\" opacity=\"0.33\"/>\n"
+            "<line x1=\"-3.14\" y1=\"2.72\" x2=\"0.12\" y2=\"-0.12\" "
+            "fill=\"none\" stroke=\"#102030\" stroke-width=\"1.00\"/>\n"
+            "<polyline points=\"0.00,0.00 -1.50,2.25 3.33,-4.45 "
+            "10000000.00,-0.00\" fill=\"#090807\" opacity=\"1.00\"/>\n"
+            "<path d=\"M -29.88 50.00 A 20.12 20.12 0 0 1 -70.12 50.00 L "
+            "-60.00 50.00 A 10.00 10.00 0 0 0 -40.00 50.00 Z\" "
+            "fill=\"#c83c28\" stroke=\"#ffffff\" stroke-width=\"0.80\"/>\n"
+            "<path d=\"M -70.12 50.00 A 20.12 20.12 0 0 1 -29.88 50.00 L "
+            "-40.00 50.00 A 10.00 10.00 0 0 0 -60.00 50.00 Z\" "
+            "fill=\"#c83c28\" stroke=\"#ffffff\" stroke-width=\"0.80\"/>\n"
+            "<text x=\"-5.00\" y=\"7.50\" font-size=\"10.00\" "
+            "font-family=\"sans-serif\" fill=\"#333\" text-anchor=\"end\" "
+            "transform=\"rotate(135.50 -5.00 7.50)\">a&lt;b &amp; "
+            "&quot;c&quot; &apos;d&apos;&gt;</text>\n"
+            "</svg>\n");
+}
+
+TEST(SvgTest, NumbersMatchPrintfFixedTwoDecimals) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {0.0, -0.0, 0.005, 0.015, 0.125, -0.125,
+                                2.675, -2.675, 1e7, -1e7, 1e22, 1e300,
+                                -Limits::max(), Limits::min(),
+                                Limits::denorm_min(), Limits::infinity(),
+                                -Limits::infinity(), Limits::quiet_NaN(),
+                                -Limits::quiet_NaN()};
+  Rng rng(2020);
+  for (int i = 0; i < 50000; ++i) {
+    double v = (rng.NextDouble() - 0.5) * 2e4;
+    values.push_back(v);
+    values.push_back(std::round(v * 1000) / 1000);  // decimal ties
+    values.push_back(std::round(v * 200) / 200);    // binary ties
+    uint64_t bits = rng.Next();
+    std::memcpy(&v, &bits, sizeof v);
+    values.push_back(v);
+  }
+
+  SvgDocument doc(1, 1);
+  for (double v : values) doc.AddCircle(Circle{v, 0, 0}, Style{});
+  const std::string svg = doc.ToString();
+  size_t pos = 0;
+  size_t mismatches = 0;
+  for (double v : values) {
+    pos = svg.find("cx=\"", pos);
+    ASSERT_NE(pos, std::string::npos);
+    pos += 4;
+    const size_t end = svg.find('"', pos);
+    char want[400];
+    std::snprintf(want, sizeof(want), "%.2f", v);
+    if (svg.compare(pos, end - pos, want) != 0 && ++mismatches <= 5) {
+      ADD_FAILURE() << "cx=\"" << svg.substr(pos, end - pos)
+                    << "\" but %.2f gives \"" << want << "\"";
+    }
+    pos = end;
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+}
+
+TEST(SvgTest, ControlCharactersInLabelsStayWellFormed) {
+  SvgDocument doc(10, 10);
+  doc.AddText(Point{1, 2}, std::string("x\x01y\x1f\tz<", 7), 9);
+  const std::string svg = doc.ToString();
+  EXPECT_NE(svg.find(">x\xEF\xBF\xBDy\xEF\xBF\xBD\tz&lt;</text>"),
+            std::string::npos);
+  for (unsigned char c : svg) {
+    EXPECT_TRUE(c >= 0x20 || c == '\t' || c == '\n' || c == '\r')
+        << static_cast<int>(c);
+  }
+}
+
+TEST(SvgTest, LayoutSetFingerprintIsPinned) {
+  // Pins the rendered bytes of all four views: session transcripts embed
+  // this fingerprint, so any SVG byte drift shows up here first.
+  BundleFixture f = MakeBundleFixture();
+  LayoutSet set = ComputeLayoutSet(f.summary, f.clusters, "fixture",
+                                   LayoutSetOptions{});
+  EXPECT_EQ(set.geometry_fingerprint, 0x6408267a9407b4a2ull);
 }
 
 TEST(SvgTest, WriteFile) {
