@@ -186,7 +186,8 @@ ArmResult RunArm(size_t num_endpoints, int64_t days, int64_t freeze_day,
       const hbold::store::Collection* c =
           world->fleet->shard_db(s).FindCollection(collection);
       if (c == nullptr) continue;
-      for (hbold::store::Document doc : c->Snapshot()) {
+      for (const hbold::store::DocumentPtr& stored : c->Snapshot()) {
+        hbold::store::Document doc = *stored;
         std::string key =
             std::string(collection) + "|" + doc.GetString("endpoint_url");
         doc.Set("_id", 0);

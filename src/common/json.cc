@@ -1,7 +1,8 @@
 #include "common/json.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace hbold {
@@ -9,24 +10,34 @@ namespace hbold {
 namespace {
 
 // Serializes a double the way JSON expects: integers without a fraction,
-// otherwise shortest round-trip-ish representation.
+// otherwise 17 significant digits. std::to_chars writes the same bytes as
+// printf's "%lld" and "%.17g" without the format parsing and locale.
 void AppendNumber(std::string* out, double d) {
+  char buf[32];
+  std::to_chars_result r{};
   if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    out->append(buf);
+    r = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d));
   } else if (std::isfinite(d)) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out->append(buf);
+    r = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general,
+                      17);
   } else {
     out->append("null");  // JSON has no Inf/NaN.
+    return;
   }
+  out->append(buf, r.ptr);
 }
 
-void AppendEscaped(std::string* out, const std::string& s) {
+// Appends `s` quoted, copying each run of bytes that need no escape in
+// one append. C0 controls without a short escape become \u00XX.
+void AppendEscaped(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out->push_back('"');
-  for (unsigned char c : s) {
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out->append("\\\"");
@@ -49,17 +60,45 @@ void AppendEscaped(std::string* out, const std::string& s) {
       case '\f':
         out->append("\\f");
         break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out->append(esc, sizeof(esc));
+      }
     }
   }
+  out->append(s.data() + run, s.size() - run);
   out->push_back('"');
+}
+
+bool KeyLess(const std::pair<std::string, Json>& a,
+             const std::pair<std::string, Json>& b) {
+  return a.first < b.first;
+}
+
+bool KeyBefore(const std::pair<std::string, Json>& member,
+               std::string_view key) {
+  return std::string_view(member.first) < key;
+}
+
+// Restores the Object invariant: sorted by key, and of equal keys only the
+// last one (in input order) kept, which is what repeated assignment does.
+void SortMembers(Json::Object* obj) {
+  auto not_increasing = [](const auto& a, const auto& b) {
+    return !KeyLess(a, b);
+  };
+  if (std::adjacent_find(obj->begin(), obj->end(), not_increasing) ==
+      obj->end()) {
+    return;
+  }
+  std::stable_sort(obj->begin(), obj->end(), KeyLess);
+  auto out = obj->begin();
+  for (auto it = obj->begin(); it != obj->end(); ++it) {
+    auto next = it + 1;
+    if (next != obj->end() && next->first == it->first) continue;
+    if (out != it) *out = std::move(*it);
+    ++out;
+  }
+  obj->erase(out, obj->end());
 }
 
 class Parser {
@@ -134,7 +173,9 @@ class Parser {
   }
 
   Status ParseString(std::string* out) {
-    if (text_[pos_] != '"') return Err("expected string");
+    if (pos_ >= text_.size() || text_[pos_] != '"') {
+      return Err("expected string");
+    }
     ++pos_;
     std::string s;
     while (true) {
@@ -259,7 +300,7 @@ class Parser {
       Json value;
       st = ParseValue(&value);
       if (!st.ok()) return st;
-      obj[std::move(key)] = std::move(value);
+      obj.emplace_back(std::move(key), std::move(value));
       SkipWs();
       if (pos_ >= text_.size()) return Err("unterminated object");
       if (text_[pos_] == ',') {
@@ -272,7 +313,7 @@ class Parser {
       }
       return Err("expected ',' or '}'");
     }
-    *out = Json(std::move(obj));
+    *out = Json(std::move(obj));  // sorts; the last duplicate wins
     return Status::OK();
   }
 
@@ -324,10 +365,14 @@ class Parser {
 
 }  // namespace
 
+Json::Json(Object o) : type_(Type::kObject), obj_(std::move(o)) {
+  SortMembers(&obj_);
+}
+
 const Json* Json::Find(std::string_view key) const {
   if (!is_object()) return nullptr;
-  auto it = obj_.find(std::string(key));
-  if (it == obj_.end()) return nullptr;
+  auto it = std::lower_bound(obj_.begin(), obj_.end(), key, KeyBefore);
+  if (it == obj_.end() || it->first != key) return nullptr;
   return &it->second;
 }
 
@@ -357,7 +402,17 @@ bool Json::GetBool(std::string_view key, bool default_value) const {
 }
 
 Json& Json::Set(std::string key, Json value) {
-  obj_[std::move(key)] = std::move(value);
+  if (obj_.empty() || obj_.back().first < key) {
+    obj_.emplace_back(std::move(key), std::move(value));
+    return *this;
+  }
+  auto it = std::lower_bound(obj_.begin(), obj_.end(),
+                             std::string_view(key), KeyBefore);
+  if (it != obj_.end() && it->first == key) {
+    it->second = std::move(value);
+  } else {
+    obj_.emplace(it, std::move(key), std::move(value));
+  }
   return *this;
 }
 

@@ -2,10 +2,9 @@
 #define HBOLD_COMMON_JSON_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -16,14 +15,17 @@ namespace hbold {
 /// A JSON value: null, bool, number (double), string, array, or object.
 ///
 /// This is the document representation used by the embedded document store
-/// (our MongoDB substitute) and by the export layer. Objects keep keys in
-/// sorted order (std::map) so serialization is deterministic.
+/// (our MongoDB substitute) and by the export layer. Objects keep their
+/// members in one flat vector sorted by key (byte order, as std::map
+/// orders std::string keys), so serialization is deterministic and a
+/// lookup is a binary search.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   using Array = std::vector<Json>;
-  using Object = std::map<std::string, Json>;
+  /// Members sorted by key, keys unique.
+  using Object = std::vector<std::pair<std::string, Json>>;
 
   Json() : type_(Type::kNull) {}
   Json(std::nullptr_t) : type_(Type::kNull) {}  // NOLINT(runtime/explicit)
@@ -40,7 +42,8 @@ class Json {
   Json(std::string_view s)  // NOLINT
       : type_(Type::kString), str_(s) {}
   Json(Array a) : type_(Type::kArray), arr_(std::move(a)) {}  // NOLINT
-  Json(Object o) : type_(Type::kObject), obj_(std::move(o)) {}  // NOLINT
+  /// Sorts `o` by key; of duplicate keys the last one wins.
+  Json(Object o);  // NOLINT
 
   static Json MakeArray() { return Json(Array{}); }
   static Json MakeObject() { return Json(Object{}); }
@@ -61,8 +64,8 @@ class Json {
   const std::string& as_string() const { return str_; }
   const Array& as_array() const { return arr_; }
   Array& as_array() { return arr_; }
+  /// Read-only: members change through Set, which keeps them sorted.
   const Object& as_object() const { return obj_; }
-  Object& as_object() { return obj_; }
 
   /// Object field access. Returns nullptr if not an object or key missing.
   const Json* Find(std::string_view key) const;
@@ -74,7 +77,8 @@ class Json {
   int64_t GetInt(std::string_view key, int64_t default_value = 0) const;
   bool GetBool(std::string_view key, bool default_value = false) const;
 
-  /// Sets a field on an object (value must be an object).
+  /// Sets a field on an object (value must be an object). Appends when
+  /// `key` sorts after every present key, inserts in place otherwise.
   Json& Set(std::string key, Json value);
 
   /// Appends to an array (value must be an array).

@@ -49,18 +49,38 @@ ExplorationService::ExplorationService(Fleet* fleet,
       cache_(options.layout_cache_capacity) {}
 
 size_t ExplorationService::RefreshSnapshots() {
+  auto by_url = [](const DatasetSnapshot& a, const DatasetSnapshot& b) {
+    return a.url < b.url;
+  };
   std::vector<DatasetSnapshot> catalog;
   for (size_t shard = 0; shard < fleet_->num_shards(); ++shard) {
     PresentationSnapshot snap =
         PresentationSnapshot::Capture(fleet_->shard_db(shard));
     for (const DatasetInfo& info : snap.ListDatasets()) {
-      Result<schema::SchemaSummary> summary = snap.LoadSchemaSummary(info.url);
-      Result<cluster::ClusterSchema> clusters =
-          snap.LoadClusterSchema(info.url);
-      if (!summary.ok() || !clusters.ok()) continue;
       DatasetSnapshot ds;
       ds.url = info.url;
       ds.extracted_day = info.extracted_day;
+      ds.endpoint = fleet_->EndpointFor(info.url);
+      ds.summary_doc = snap.FindSummaryDoc(info.url);
+      ds.cluster_doc = snap.FindClusterDoc(info.url);
+      if (ds.cluster_doc == nullptr) continue;
+      auto prior = std::lower_bound(catalog_.begin(), catalog_.end(), ds,
+                                    by_url);
+      if (prior != catalog_.end() && prior->url == ds.url &&
+          prior->summary_doc == ds.summary_doc &&
+          prior->cluster_doc == ds.cluster_doc) {
+        ds.summary = prior->summary;
+        ds.clusters = prior->clusters;
+        ds.schema_fingerprint = prior->schema_fingerprint;
+        ds.cluster_fingerprint = prior->cluster_fingerprint;
+        catalog.push_back(std::move(ds));
+        continue;
+      }
+      Result<schema::SchemaSummary> summary =
+          schema::SchemaSummary::FromJson(*ds.summary_doc);
+      Result<cluster::ClusterSchema> clusters =
+          cluster::ClusterSchema::FromJson(*ds.cluster_doc);
+      if (!summary.ok() || !clusters.ok()) continue;
       // Fingerprints over the decoded objects' canonical JSON: pure
       // content, independent of store `_id`s or shard layout.
       ds.schema_fingerprint = Fnv64(summary->ToJson().Dump());
@@ -69,14 +89,10 @@ size_t ExplorationService::RefreshSnapshots() {
           std::move(summary).value());
       ds.clusters = std::make_shared<const cluster::ClusterSchema>(
           std::move(clusters).value());
-      ds.endpoint = fleet_->EndpointFor(info.url);
       catalog.push_back(std::move(ds));
     }
   }
-  std::sort(catalog.begin(), catalog.end(),
-            [](const DatasetSnapshot& a, const DatasetSnapshot& b) {
-              return a.url < b.url;
-            });
+  std::sort(catalog.begin(), catalog.end(), by_url);
   catalog_ = std::move(catalog);
   ++generation_;
   cache_.SetEpoch(generation_);

@@ -11,6 +11,7 @@
 #include "endpoint/endpoint.h"
 #include "hbold/fleet.h"
 #include "schema/schema_summary.h"
+#include "store/document.h"
 #include "viz/layout_cache.h"
 #include "workload/exploration_workload.h"
 
@@ -37,6 +38,11 @@ struct DatasetSnapshot {
   /// portal is dark). The endpoint object must outlive the snapshot;
   /// detaching only drops the route, it never destroys the endpoint.
   endpoint::SparqlEndpoint* endpoint = nullptr;
+  /// The stored documents `summary` and `clusters` were decoded from.
+  /// Stored documents are immutable, so a refresh that finds these same
+  /// two objects again reuses the decoded values and fingerprints.
+  store::DocumentPtr summary_doc;
+  store::DocumentPtr cluster_doc;
 };
 
 /// Everything one served session produced.
@@ -80,9 +86,10 @@ class ExplorationService {
 
   /// Rebuilds the dataset catalog from one consistent snapshot per shard,
   /// sorted by URL (deployment-invariant order), bumps the catalog
-  /// generation and epoch-flushes the layout cache. Call between daily
-  /// cycles; sessions already running keep reading the previous catalog's
-  /// shared_ptrs safely. Returns the catalog size.
+  /// generation and epoch-flushes the layout cache. Only datasets whose
+  /// stored documents changed since the last refresh are decoded again.
+  /// Call between daily cycles; sessions already running keep reading the
+  /// previous catalog's shared_ptrs safely. Returns the catalog size.
   size_t RefreshSnapshots();
 
   const std::vector<DatasetSnapshot>& catalog() const { return catalog_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 
 #include "cluster/louvain.h"
 #include "common/clock.h"
@@ -10,54 +11,77 @@
 
 namespace hbold {
 
+namespace {
+
+std::string_view UrlOf(const store::DocumentPtr& doc) {
+  const Json* url = doc->Find("endpoint_url");
+  if (url == nullptr || !url->is_string()) return {};
+  return url->as_string();
+}
+
+bool UrlLess(const store::DocumentPtr& a, const store::DocumentPtr& b) {
+  return UrlOf(a) < UrlOf(b);
+}
+
+std::vector<store::DocumentPtr> SnapshotByUrl(const store::Database& db,
+                                              const char* collection) {
+  const store::Collection* c = db.FindCollection(collection);
+  if (c == nullptr) return {};
+  std::vector<store::DocumentPtr> docs = c->Snapshot();
+  std::stable_sort(docs.begin(), docs.end(), UrlLess);
+  return docs;
+}
+
+store::DocumentPtr FindByUrl(const std::vector<store::DocumentPtr>& docs,
+                             std::string_view url) {
+  auto it = std::lower_bound(
+      docs.begin(), docs.end(), url,
+      [](const store::DocumentPtr& doc, std::string_view u) {
+        return UrlOf(doc) < u;
+      });
+  return it != docs.end() && UrlOf(*it) == url ? *it : nullptr;
+}
+
+}  // namespace
+
 PresentationSnapshot PresentationSnapshot::Capture(const store::Database& db) {
   PresentationSnapshot snap;
-  const store::Collection* summaries =
-      db.FindCollection(kSummariesCollection);
-  if (summaries != nullptr) snap.summaries_ = summaries->Snapshot();
-  const store::Collection* clusters = db.FindCollection(kClustersCollection);
-  if (clusters != nullptr) snap.clusters_ = clusters->Snapshot();
+  snap.summaries_ = SnapshotByUrl(db, kSummariesCollection);
+  snap.clusters_ = SnapshotByUrl(db, kClustersCollection);
   return snap;
 }
 
-const Json* PresentationSnapshot::FindSummaryDoc(const std::string& url) const {
-  for (const Json& doc : summaries_) {
-    if (doc.GetString("endpoint_url") == url) return &doc;
-  }
-  return nullptr;
+store::DocumentPtr PresentationSnapshot::FindSummaryDoc(
+    const std::string& url) const {
+  return FindByUrl(summaries_, url);
 }
 
-const Json* PresentationSnapshot::FindClusterDoc(const std::string& url) const {
-  for (const Json& doc : clusters_) {
-    if (doc.GetString("endpoint_url") == url) return &doc;
-  }
-  return nullptr;
+store::DocumentPtr PresentationSnapshot::FindClusterDoc(
+    const std::string& url) const {
+  return FindByUrl(clusters_, url);
 }
 
 std::vector<DatasetInfo> PresentationSnapshot::ListDatasets() const {
   std::vector<DatasetInfo> out;
-  for (const Json& doc : summaries_) {
+  out.reserve(summaries_.size());
+  for (const store::DocumentPtr& doc : summaries_) {
     DatasetInfo info;
-    info.url = doc.GetString("endpoint_url");
-    const Json* nodes = doc.Find("nodes");
+    info.url = UrlOf(doc);
+    const Json* nodes = doc->Find("nodes");
     info.classes = nodes != nullptr && nodes->is_array()
                        ? nodes->as_array().size()
                        : 0;
-    info.total_instances = static_cast<size_t>(doc.GetInt("total_instances"));
-    info.extracted_day = doc.GetInt("extracted_day", -1);
+    info.total_instances = static_cast<size_t>(doc->GetInt("total_instances"));
+    info.extracted_day = doc->GetInt("extracted_day", -1);
     out.push_back(std::move(info));
   }
-  std::sort(out.begin(), out.end(),
-            [](const DatasetInfo& a, const DatasetInfo& b) {
-              return a.url < b.url;
-            });
   return out;
 }
 
 Result<schema::SchemaSummary> PresentationSnapshot::LoadSchemaSummary(
     const std::string& url, double* load_ms) const {
   Stopwatch sw;
-  const Json* doc = FindSummaryDoc(url);
+  store::DocumentPtr doc = FindSummaryDoc(url);
   if (doc == nullptr) {
     return Status::NotFound("no schema summary for " + url);
   }
@@ -69,7 +93,7 @@ Result<schema::SchemaSummary> PresentationSnapshot::LoadSchemaSummary(
 Result<cluster::ClusterSchema> PresentationSnapshot::LoadClusterSchema(
     const std::string& url, double* load_ms) const {
   Stopwatch sw;
-  const Json* doc = FindClusterDoc(url);
+  store::DocumentPtr doc = FindClusterDoc(url);
   if (doc == nullptr) {
     return Status::NotFound("no cluster schema for " + url);
   }

@@ -22,10 +22,11 @@ struct DatasetInfo {
   int64_t extracted_day = -1;
 };
 
-/// Point-in-time view of the presentation collections. Capture() copies
-/// the summary and cluster documents once via Collection::Snapshot();
-/// every read on the object is then lock-free and sees one consistent
-/// store state, no matter how many daily-cycle writes land concurrently.
+/// Point-in-time view of the presentation collections. Capture() takes the
+/// summary and cluster documents via Collection::Snapshot(), which shares
+/// the stored immutable documents instead of copying them; every read on
+/// the object is then lock-free and sees one consistent store state, no
+/// matter how many daily-cycle writes land concurrently.
 /// This is the read path the serving layer holds across a whole burst of
 /// user interactions.
 class PresentationSnapshot {
@@ -48,15 +49,16 @@ class PresentationSnapshot {
                                                    double* load_ms = nullptr)
       const;
 
-  /// Raw document accessors (nullptr when absent).
-  const Json* FindSummaryDoc(const std::string& url) const;
-  const Json* FindClusterDoc(const std::string& url) const;
+  /// Raw document accessors (null when absent).
+  store::DocumentPtr FindSummaryDoc(const std::string& url) const;
+  store::DocumentPtr FindClusterDoc(const std::string& url) const;
 
   size_t dataset_count() const { return summaries_.size(); }
 
  private:
-  std::vector<Json> summaries_;
-  std::vector<Json> clusters_;
+  // Sorted by endpoint URL; documents sharing a URL stay in `_id` order.
+  std::vector<store::DocumentPtr> summaries_;
+  std::vector<store::DocumentPtr> clusters_;
 };
 
 /// H-BOLD's presentation layer against the document store: dataset

@@ -314,7 +314,7 @@ Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
 
   const store::Collection* summaries_ro =
       db_->FindCollection(kSummariesCollection);
-  std::optional<Json> stored_summary_doc;
+  store::DocumentPtr stored_summary_doc;
   if (summaries_ro != nullptr) {
     stored_summary_doc = summaries_ro->FindOne(url_filter);
   }
@@ -334,7 +334,7 @@ Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
   if (delta_mode && !force_full &&
       trust == endpoint::TrustState::kTrusted && have_probe &&
       !probe.truncated && !probe.classes.empty() && generation_match &&
-      dirty.empty() && removed.empty() && stored_summary_doc.has_value()) {
+      dirty.empty() && removed.empty() && stored_summary_doc != nullptr) {
     const Json* nodes = stored_summary_doc->Find("nodes");
     const Json* arcs = stored_summary_doc->Find("arcs");
     report.classes =
@@ -376,11 +376,11 @@ Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
         static_cast<double>(std::max<size_t>(1, probe.classes.size()));
     const store::Collection* indexes_ro =
         db_->FindCollection(kIndexesCollection);
-    std::optional<Json> prior_doc;
+    store::DocumentPtr prior_doc;
     if (fraction <= inc.full_refresh_fraction && indexes_ro != nullptr) {
       prior_doc = indexes_ro->FindOne(url_filter);
     }
-    if (prior_doc.has_value()) {
+    if (prior_doc != nullptr) {
       auto prior = extraction::IndexSummary::FromJson(*prior_doc);
       if (prior.ok()) {
         // Restricted strategies (paginated scan) price the dirty-class
@@ -473,19 +473,19 @@ Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
   // Stage 2: Schema Summary — patched in place after a delta merge (quiet
   // class nodes are reused verbatim), rebuilt from scratch otherwise.
   // Both forms are value-identical to FromIndexes on the same summary.
+  // The stored summary is decoded once, for the patch and for stage 3's
+  // partition reuse.
   Stopwatch sw;
-  schema::SchemaSummary summary;
-  bool patched = false;
-  if (delta_ok && stored_summary_doc.has_value()) {
-    auto prior_summary = schema::SchemaSummary::FromJson(*stored_summary_doc);
-    if (prior_summary.ok()) {
-      summary =
-          schema::SchemaSummary::PatchedFromIndexes(*prior_summary, *indexes,
-                                                    dirty);
-      patched = true;
-    }
+  std::optional<schema::SchemaSummary> prior_summary;
+  if (delta_ok && stored_summary_doc != nullptr) {
+    auto decoded = schema::SchemaSummary::FromJson(*stored_summary_doc);
+    if (decoded.ok()) prior_summary = std::move(decoded).value();
   }
-  if (!patched) summary = schema::SchemaSummary::FromIndexes(*indexes);
+  schema::SchemaSummary summary =
+      prior_summary.has_value()
+          ? schema::SchemaSummary::PatchedFromIndexes(*prior_summary,
+                                                      *indexes, dirty)
+          : schema::SchemaSummary::FromIndexes(*indexes);
   report.summary_ms = sw.ElapsedMillis();
   report.classes = summary.NodeCount();
   report.arcs = summary.ArcCount();
@@ -499,7 +499,7 @@ Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
   // The hash is stored as a hex string: JSON numbers are doubles and would
   // truncate 64-bit fingerprints.
   std::string content_hash = HexU64(Fnv64(summary_doc.Dump()));
-  if (stored_summary_doc.has_value() &&
+  if (stored_summary_doc != nullptr &&
       stored_summary_doc->GetString("content_hash") == content_hash) {
     report.reused_cluster_schema = true;
     store_fingerprints();
@@ -515,7 +515,7 @@ Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
   // kBounded bounds the trust window.
   if (ran_full_extraction && have_probe && !probe.truncated &&
       generation_match && dirty.empty() && removed.empty() &&
-      stored_summary_doc.has_value()) {
+      stored_summary_doc != nullptr) {
     strike("content changed behind a quiet probe");
   }
 
@@ -529,43 +529,40 @@ Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
   sw.Reset();
   cluster::Partition partition;
   bool partition_reused = false;
-  if (delta_ok && stored_summary_doc.has_value()) {
-    auto prior_summary = schema::SchemaSummary::FromJson(*stored_summary_doc);
-    if (prior_summary.ok() &&
-        prior_summary->NodeCount() == summary.NodeCount() &&
-        prior_summary->ArcCount() == summary.ArcCount()) {
-      bool same_graph = true;
-      for (size_t i = 0; same_graph && i < summary.NodeCount(); ++i) {
-        same_graph = prior_summary->nodes()[i].iri == summary.nodes()[i].iri;
+  if (prior_summary.has_value() &&
+      prior_summary->NodeCount() == summary.NodeCount() &&
+      prior_summary->ArcCount() == summary.ArcCount()) {
+    bool same_graph = true;
+    for (size_t i = 0; same_graph && i < summary.NodeCount(); ++i) {
+      same_graph = prior_summary->nodes()[i].iri == summary.nodes()[i].iri;
+    }
+    for (size_t i = 0; same_graph && i < summary.ArcCount(); ++i) {
+      const schema::PropertyArc& a = prior_summary->arcs()[i];
+      const schema::PropertyArc& b = summary.arcs()[i];
+      same_graph = a.src == b.src && a.dst == b.dst && a.iri == b.iri &&
+                   a.count == b.count;
+    }
+    if (same_graph) {
+      const store::Collection* clusters_ro =
+          db_->FindCollection(kClustersCollection);
+      store::DocumentPtr prior_cluster_doc;
+      if (clusters_ro != nullptr) {
+        prior_cluster_doc = clusters_ro->FindOne(url_filter);
       }
-      for (size_t i = 0; same_graph && i < summary.ArcCount(); ++i) {
-        const schema::PropertyArc& a = prior_summary->arcs()[i];
-        const schema::PropertyArc& b = summary.arcs()[i];
-        same_graph = a.src == b.src && a.dst == b.dst && a.iri == b.iri &&
-                     a.count == b.count;
-      }
-      if (same_graph) {
-        const store::Collection* clusters_ro =
-            db_->FindCollection(kClustersCollection);
-        std::optional<Json> prior_cluster_doc;
-        if (clusters_ro != nullptr) {
-          prior_cluster_doc = clusters_ro->FindOne(url_filter);
-        }
-        if (prior_cluster_doc.has_value()) {
-          auto prior_clusters =
-              cluster::ClusterSchema::FromJson(*prior_cluster_doc);
-          if (prior_clusters.ok()) {
-            partition.reserve(summary.NodeCount());
-            partition_reused = true;
-            for (size_t i = 0; i < summary.NodeCount(); ++i) {
-              int c = prior_clusters->ClusterOf(i);
-              if (c < 0) {
-                partition.clear();
-                partition_reused = false;
-                break;
-              }
-              partition.push_back(static_cast<size_t>(c));
+      if (prior_cluster_doc != nullptr) {
+        auto prior_clusters =
+            cluster::ClusterSchema::FromJson(*prior_cluster_doc);
+        if (prior_clusters.ok()) {
+          partition.reserve(summary.NodeCount());
+          partition_reused = true;
+          for (size_t i = 0; i < summary.NodeCount(); ++i) {
+            int c = prior_clusters->ClusterOf(i);
+            if (c < 0) {
+              partition.clear();
+              partition_reused = false;
+              break;
             }
+            partition.push_back(static_cast<size_t>(c));
           }
         }
       }
@@ -754,8 +751,8 @@ Status Server::PersistRegistry() {
 Status Server::LoadRegistry() {
   const store::Collection* c = db_->FindCollection(kRegistryCollection);
   if (c == nullptr) return Status::NotFound("no registry collection");
-  auto doc = c->FindOne(Json::MakeObject());
-  if (!doc.has_value()) return Status::NotFound("registry document missing");
+  store::DocumentPtr doc = c->FindOne(Json::MakeObject());
+  if (doc == nullptr) return Status::NotFound("registry document missing");
   const Json* records = doc->Find("records");
   if (records == nullptr) {
     return Status::InvalidArgument("registry document malformed");

@@ -67,14 +67,14 @@ bool MatchesOperator(const Json* field, const Json& op_obj) {
 
 }  // namespace
 
-const Json* Collection::Resolve(const Document& doc, const std::string& path) {
+const Json* Collection::Resolve(const Document& doc, std::string_view path) {
   const Json* cur = &doc;
-  for (const std::string& part : Split(path, '.')) {
-    if (!cur->is_object()) return nullptr;
-    cur = cur->Find(part);
-    if (cur == nullptr) return nullptr;
+  while (true) {
+    const size_t dot = path.find('.');
+    cur = cur->Find(path.substr(0, dot));
+    if (cur == nullptr || dot == std::string_view::npos) return cur;
+    path.remove_prefix(dot + 1);
   }
-  return cur;
 }
 
 bool Collection::Matches(const Document& doc, const Document& filter) {
@@ -98,7 +98,7 @@ Status Collection::CheckUnique(const Document& doc,
     if (value == nullptr) continue;
     for (const auto& [id, existing] : docs_) {
       if (skip_id.has_value() && id == *skip_id) continue;
-      const Json* other = Resolve(existing, path);
+      const Json* other = Resolve(*existing, path);
       if (other != nullptr && *other == *value) {
         return Status::AlreadyExists("unique index violation on '" + path +
                                      "' in collection '" + name_ + "'");
@@ -144,6 +144,33 @@ const std::set<DocId>* Collection::IndexCandidates(
   return nullptr;
 }
 
+template <typename Fn>
+void Collection::ForEachMatch(const Document& filter, Fn&& fn) const {
+  const std::set<DocId>* candidates = IndexCandidates(filter);
+  if (candidates == nullptr) {
+    for (const auto& [id, doc] : docs_) {
+      if (Matches(*doc, filter) && !fn(id, doc)) return;
+    }
+    return;
+  }
+  for (DocId id : *candidates) {
+    auto it = docs_.find(id);
+    if (it != docs_.end() && Matches(*it->second, filter) &&
+        !fn(id, it->second)) {
+      return;
+    }
+  }
+}
+
+std::vector<DocId> Collection::MatchingIds(const Document& filter) const {
+  std::vector<DocId> ids;
+  ForEachMatch(filter, [&](DocId id, const DocumentPtr&) {
+    ids.push_back(id);
+    return true;
+  });
+  return ids;
+}
+
 Result<DocId> Collection::Insert(Document doc) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (!doc.is_object()) {
@@ -153,55 +180,39 @@ Result<DocId> Collection::Insert(Document doc) {
   DocId id = next_id_++;
   doc.Set(kIdField, Json(static_cast<int64_t>(id)));
   IndexDoc(id, doc);
-  docs_.emplace(id, std::move(doc));
+  docs_.emplace(id, std::make_shared<const Document>(std::move(doc)));
   return id;
 }
 
-std::vector<Document> Collection::Find(const Document& filter) const {
+std::vector<DocumentPtr> Collection::Find(const Document& filter) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<Document> out;
-  const std::set<DocId>* candidates = IndexCandidates(filter);
-  if (candidates != nullptr) {
-    for (DocId id : *candidates) {
-      auto it = docs_.find(id);
-      if (it != docs_.end() && Matches(it->second, filter)) {
-        out.push_back(it->second);
-      }
-    }
-    return out;
-  }
-  for (const auto& [id, doc] : docs_) {
-    if (Matches(doc, filter)) out.push_back(doc);
-  }
+  std::vector<DocumentPtr> out;
+  ForEachMatch(filter, [&](DocId, const DocumentPtr& doc) {
+    out.push_back(doc);
+    return true;
+  });
   return out;
 }
 
-std::optional<Document> Collection::FindOne(const Document& filter) const {
+DocumentPtr Collection::FindOne(const Document& filter) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  const std::set<DocId>* candidates = IndexCandidates(filter);
-  if (candidates != nullptr) {
-    for (DocId id : *candidates) {
-      auto it = docs_.find(id);
-      if (it != docs_.end() && Matches(it->second, filter)) return it->second;
-    }
-    return std::nullopt;
-  }
-  for (const auto& [id, doc] : docs_) {
-    if (Matches(doc, filter)) return doc;
-  }
-  return std::nullopt;
+  DocumentPtr found;
+  ForEachMatch(filter, [&](DocId, const DocumentPtr& doc) {
+    found = doc;
+    return false;
+  });
+  return found;
 }
 
-std::optional<Document> Collection::FindById(DocId id) const {
+DocumentPtr Collection::FindById(DocId id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = docs_.find(id);
-  if (it == docs_.end()) return std::nullopt;
-  return it->second;
+  return it == docs_.end() ? nullptr : it->second;
 }
 
-std::vector<Document> Collection::Snapshot() const {
+std::vector<DocumentPtr> Collection::Snapshot() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<Document> out;
+  std::vector<DocumentPtr> out;
   out.reserve(docs_.size());
   for (const auto& [id, doc] : docs_) out.push_back(doc);
   return out;
@@ -210,9 +221,10 @@ std::vector<Document> Collection::Snapshot() const {
 size_t Collection::CountMatching(const Document& filter) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   size_t n = 0;
-  for (const auto& [id, doc] : docs_) {
-    if (Matches(doc, filter)) ++n;
-  }
+  ForEachMatch(filter, [&](DocId, const DocumentPtr&) {
+    ++n;
+    return true;
+  });
   return n;
 }
 
@@ -222,27 +234,25 @@ Result<size_t> Collection::Update(const Document& filter,
   if (!update.is_object()) {
     return Status::InvalidArgument("update must be a JSON object");
   }
-  // Two passes: validate uniqueness first so a failed update is atomic.
-  std::vector<DocId> targets;
-  for (const auto& [id, doc] : docs_) {
-    if (Matches(doc, filter)) targets.push_back(id);
-  }
+  // Build every merged document and validate uniqueness first, so a failed
+  // update changes nothing.
+  const std::vector<DocId> targets = MatchingIds(filter);
+  std::vector<Document> merged;
+  merged.reserve(targets.size());
   for (DocId id : targets) {
-    Document merged = docs_[id];
-    for (const auto& [k, v] : update.as_object()) {
-      if (k == kIdField) continue;
-      merged.Set(k, v);
-    }
-    HBOLD_RETURN_NOT_OK(CheckUnique(merged, id));
-  }
-  for (DocId id : targets) {
-    Document& doc = docs_[id];
-    DeindexDoc(id, doc);
+    Document doc = *docs_[id];
     for (const auto& [k, v] : update.as_object()) {
       if (k == kIdField) continue;
       doc.Set(k, v);
     }
-    IndexDoc(id, doc);
+    HBOLD_RETURN_NOT_OK(CheckUnique(doc, id));
+    merged.push_back(std::move(doc));
+  }
+  for (size_t i = 0; i < targets.size(); ++i) {
+    DocumentPtr& slot = docs_[targets[i]];
+    DeindexDoc(targets[i], *slot);
+    IndexDoc(targets[i], merged[i]);
+    slot = std::make_shared<const Document>(std::move(merged[i]));
   }
   return targets.size();
 }
@@ -254,20 +264,17 @@ Result<DocId> Collection::Replace(const Document& filter, Document doc) {
   }
   // Pull the matches out first so the uniqueness check runs against the
   // survivors only; restore them if the new document is rejected.
-  std::vector<std::pair<DocId, Document>> removed;
-  for (auto it = docs_.begin(); it != docs_.end();) {
-    if (Matches(it->second, filter)) {
-      DeindexDoc(it->first, it->second);
-      removed.emplace_back(it->first, std::move(it->second));
-      it = docs_.erase(it);
-    } else {
-      ++it;
-    }
+  std::vector<std::pair<DocId, DocumentPtr>> removed;
+  for (DocId id : MatchingIds(filter)) {
+    auto it = docs_.find(id);
+    DeindexDoc(id, *it->second);
+    removed.emplace_back(id, std::move(it->second));
+    docs_.erase(it);
   }
   Status unique = CheckUnique(doc, std::nullopt);
   if (!unique.ok()) {
     for (auto& [id, old_doc] : removed) {
-      IndexDoc(id, old_doc);
+      IndexDoc(id, *old_doc);
       docs_.emplace(id, std::move(old_doc));
     }
     return unique;
@@ -275,23 +282,19 @@ Result<DocId> Collection::Replace(const Document& filter, Document doc) {
   DocId id = next_id_++;
   doc.Set(kIdField, Json(static_cast<int64_t>(id)));
   IndexDoc(id, doc);
-  docs_.emplace(id, std::move(doc));
+  docs_.emplace(id, std::make_shared<const Document>(std::move(doc)));
   return id;
 }
 
 size_t Collection::Remove(const Document& filter) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  size_t removed = 0;
-  for (auto it = docs_.begin(); it != docs_.end();) {
-    if (Matches(it->second, filter)) {
-      DeindexDoc(it->first, it->second);
-      it = docs_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
+  const std::vector<DocId> ids = MatchingIds(filter);
+  for (DocId id : ids) {
+    auto it = docs_.find(id);
+    DeindexDoc(id, *it->second);
+    docs_.erase(it);
   }
-  return removed;
+  return ids.size();
 }
 
 Status Collection::CreateUniqueIndex(const std::string& field_path) {
@@ -299,7 +302,7 @@ Status Collection::CreateUniqueIndex(const std::string& field_path) {
   // Validate no existing duplicates.
   std::vector<const Json*> seen;
   for (const auto& [id, doc] : docs_) {
-    const Json* value = Resolve(doc, field_path);
+    const Json* value = Resolve(*doc, field_path);
     if (value == nullptr) continue;
     for (const Json* other : seen) {
       if (*other == *value) {
@@ -319,7 +322,7 @@ void Collection::CreateIndex(const std::string& field_path) {
   if (field_indexes_.count(field_path) > 0) return;
   auto& buckets = field_indexes_[field_path];
   for (const auto& [id, doc] : docs_) {
-    const Json* value = Resolve(doc, field_path);
+    const Json* value = Resolve(*doc, field_path);
     if (value != nullptr) buckets[value->Dump()].insert(id);
   }
 }
@@ -333,7 +336,7 @@ std::string Collection::DumpJsonl() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::string out;
   for (const auto& [id, doc] : docs_) {
-    out += doc.Dump();
+    out += doc->Dump();
     out += '\n';
   }
   return out;
@@ -341,7 +344,7 @@ std::string Collection::DumpJsonl() const {
 
 Status Collection::LoadJsonl(const std::string& text) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  std::map<DocId, Document> loaded;
+  std::map<DocId, DocumentPtr> loaded;
   DocId max_id = 0;
   for (const std::string& line : Split(text, '\n')) {
     if (Trim(line).empty()) continue;
@@ -353,13 +356,13 @@ Status Collection::LoadJsonl(const std::string& text) {
                                 name_ + "'");
     }
     max_id = std::max(max_id, id);
-    loaded.emplace(id, std::move(*parsed));
+    loaded.emplace(id, std::make_shared<const Document>(std::move(*parsed)));
   }
   docs_ = std::move(loaded);
   next_id_ = max_id + 1;
   // Rebuild hash indexes over the replaced content.
   for (auto& [path, buckets] : field_indexes_) buckets.clear();
-  for (const auto& [id, doc] : docs_) IndexDoc(id, doc);
+  for (const auto& [id, doc] : docs_) IndexDoc(id, *doc);
   return Status::OK();
 }
 

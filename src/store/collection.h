@@ -1,12 +1,12 @@
 #ifndef HBOLD_STORE_COLLECTION_H_
 #define HBOLD_STORE_COLLECTION_H_
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -24,6 +24,11 @@ namespace hbold::store {
 ///   {"k": {"$exists": true}}      — presence
 /// Multiple keys are AND-ed. Dotted paths ("a.b") descend into nested
 /// objects.
+///
+/// Documents are stored as immutable shared values (DocumentPtr). Reads
+/// hand out the stored pointers and never copy a document; writes build a
+/// new document and swap the pointer, so a handle a reader holds keeps
+/// its content whatever is written later.
 ///
 /// Thread safety: every public method locks a per-collection
 /// `std::shared_mutex` — reads (Find/FindOne/Count/Snapshot/Dump) take it
@@ -46,20 +51,20 @@ class Collection {
   Result<DocId> Insert(Document doc);
 
   /// Returns all documents matching `filter`, in insertion (_id) order.
-  std::vector<Document> Find(const Document& filter) const;
+  std::vector<DocumentPtr> Find(const Document& filter) const;
 
-  /// Returns the first match, if any.
-  std::optional<Document> FindOne(const Document& filter) const;
+  /// Returns the first match, or null.
+  DocumentPtr FindOne(const Document& filter) const;
 
-  /// Finds a document by id.
-  std::optional<Document> FindById(DocId id) const;
+  /// Finds a document by id; null when absent.
+  DocumentPtr FindById(DocId id) const;
 
   size_t CountMatching(const Document& filter) const;
 
-  /// Copies every document (in `_id` order) under one shared lock.
+  /// Every document (in `_id` order), taken under one shared lock.
   /// Iterating the returned vector is lock-free: it is an immutable
   /// point-in-time view, unaffected by later writers.
-  std::vector<Document> Snapshot() const;
+  std::vector<DocumentPtr> Snapshot() const;
 
   /// Replaces the fields of every matching document with those in `update`
   /// (shallow merge; `_id` is preserved). Returns the number updated.
@@ -94,7 +99,7 @@ class Collection {
   static bool Matches(const Document& doc, const Document& filter);
 
   /// Resolves a dotted path inside a document; nullptr when missing.
-  static const Json* Resolve(const Document& doc, const std::string& path);
+  static const Json* Resolve(const Document& doc, std::string_view path);
 
   /// Serializes all documents as JSON-lines.
   std::string DumpJsonl() const;
@@ -111,11 +116,18 @@ class Collection {
   /// Resolves an equality constraint in `filter` that a hash index covers;
   /// returns the candidate id set, or nullptr when no index applies.
   const std::set<DocId>* IndexCandidates(const Document& filter) const;
+  /// Calls `fn(id, doc)` for every document matching `filter`, in `_id`
+  /// order, until `fn` returns false. Only the candidates of a covering
+  /// hash index are checked when there is one.
+  template <typename Fn>
+  void ForEachMatch(const Document& filter, Fn&& fn) const;
+  /// Ids of the documents matching `filter`, in `_id` order.
+  std::vector<DocId> MatchingIds(const Document& filter) const;
 
   mutable std::shared_mutex mu_;
   std::string name_;
   DocId next_id_ = 1;
-  std::map<DocId, Document> docs_;
+  std::map<DocId, DocumentPtr> docs_;
   std::vector<std::string> unique_fields_;
   // field path -> serialized value -> ids holding that value.
   std::map<std::string, std::map<std::string, std::set<DocId>>>

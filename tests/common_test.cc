@@ -5,7 +5,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <future>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -199,6 +202,10 @@ TEST(JsonTest, ObjectRoundTrip) {
 
 TEST(JsonTest, ParseRejectsGarbage) {
   EXPECT_FALSE(Json::Parse("{").ok());
+  // Truncated documents: each must fail without reading past the end.
+  for (const char* text : {"{\"a\"", "{\"a\":", "[", "\"", "{\"a\":1,"}) {
+    EXPECT_FALSE(Json::Parse(text).ok()) << text;
+  }
   EXPECT_FALSE(Json::Parse("[1,]").ok());
   EXPECT_FALSE(Json::Parse("tru").ok());
   EXPECT_FALSE(Json::Parse("\"unterminated").ok());
@@ -269,6 +276,149 @@ TEST(JsonTest, LargeIntegersPreserved) {
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->as_int(), 123456789012LL);
   EXPECT_EQ(doc->Dump(), "123456789012");
+}
+
+// One document with every value type, keys set out of order (uppercase,
+// UTF-8, empty, a space, an overwrite), escapes and C0 controls.
+Json GoldenDocument() {
+  using Limits = std::numeric_limits<double>;
+  Json nested = Json::MakeObject();
+  nested.Set("b", Json(2));
+  nested.Set("a", Json(1));
+  nested.Set("B", Json("upper"));
+  nested.Set("aa", Json::MakeArray());
+  nested.Set("a ", Json(3));
+  nested.Set("A", Json(nullptr));
+  Json numbers = Json::MakeArray();
+  for (double d : {0.0, -0.0, 1.0, -1.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15,
+                   0.1, 1.0 / 3, -2.5e-7, 123456789.125, 1e300, 5e-324,
+                   Limits::max(), -Limits::max(), Limits::quiet_NaN(),
+                   Limits::infinity()}) {
+    numbers.Append(Json(d));
+  }
+  Json doc = Json::MakeObject();
+  doc.Set("zeta", Json(1.5));
+  doc.Set("Alpha", Json(true));
+  doc.Set("", Json(nullptr));
+  doc.Set("\xc3\xa9t\xc3\xa9", Json("caf\xc3\xa9 \xe2\x82\xac"));
+  doc.Set("arr", Json(Json::Array{Json(1), Json("two"), Json(false),
+                                 Json::MakeObject(), Json::MakeArray()}));
+  doc.Set("esc", Json(std::string(
+                     "q\" b\\ n\n r\r t\t b\b f\f c\x01\x1f\x7f/ z\0", 29)));
+  doc.Set("numbers", std::move(numbers));
+  doc.Set("nested", std::move(nested));
+  doc.Set("Zeta", Json(int64_t{-42}));
+  doc.Set("Alpha", Json(false));
+  return doc;
+}
+
+// Every content hash and fingerprint derives from these bytes, which are
+// the ones a std::map-backed object writes.
+TEST(JsonTest, GoldenDumpBytes) {
+  const Json doc = GoldenDocument();
+  const std::string numbers =
+      R"("numbers":[0,0,1,-1,999999999999999,-999999999999999,)"
+      R"(1000000000000000,-1000000000000000,0.10000000000000001,)"
+      R"(0.33333333333333331,-2.4999999999999999e-07,123456789.125,)"
+      R"(1.0000000000000001e+300,4.9406564584124654e-324,)"
+      R"(1.7976931348623157e+308,-1.7976931348623157e+308,null,null])";
+  EXPECT_EQ(doc.Dump(),
+            R"({"":null,"Alpha":false,"Zeta":-42,"arr":[1,"two",false,{},[]],)"
+            R"("esc":"q\" b\\ n\n r\r t\t b\b f\f c\u0001\u001f)"
+            "\x7f"
+            R"(/ z\u0000","nested":{"A":null,"B":"upper","a":1,"a ":3,)"
+            R"("aa":[],"b":2},)" +
+                numbers + R"(,"zeta":1.5,"été":"café €"})");
+  EXPECT_EQ(doc.Dump(2),
+            "{\n"
+            "  \"\": null,\n"
+            "  \"Alpha\": false,\n"
+            "  \"Zeta\": -42,\n"
+            "  \"arr\": [\n    1,\n    \"two\",\n    false,\n    {},\n"
+            "    []\n  ],\n"
+            R"(  "esc": "q\" b\\ n\n r\r t\t b\b f\f c\u0001\u001f)"
+            "\x7f"
+            "/ z\\u0000\",\n"
+            "  \"nested\": {\n"
+            "    \"A\": null,\n    \"B\": \"upper\",\n    \"a\": 1,\n"
+            "    \"a \": 3,\n    \"aa\": [],\n    \"b\": 2\n  },\n"
+            "  \"numbers\": [\n    0,\n    0,\n    1,\n    -1,\n"
+            "    999999999999999,\n    -999999999999999,\n"
+            "    1000000000000000,\n    -1000000000000000,\n"
+            "    0.10000000000000001,\n    0.33333333333333331,\n"
+            "    -2.4999999999999999e-07,\n    123456789.125,\n"
+            "    1.0000000000000001e+300,\n    4.9406564584124654e-324,\n"
+            "    1.7976931348623157e+308,\n    -1.7976931348623157e+308,\n"
+            "    null,\n    null\n  ],\n"
+            "  \"zeta\": 1.5,\n"
+            "  \"été\": \"café €\"\n"
+            "}");
+  // Parsing sorts the members; of duplicate keys the last one wins.
+  auto parsed = Json::Parse(
+      R"({"k":1,"a":[],"k":2,"K":{"y":1,"x":2,"y":3},"":0,"k":{"z":[true]}})");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->Dump(),
+            R"({"":0,"K":{"x":2,"y":3},"a":[],"k":{"z":[true]}})");
+  auto round_trip = Json::Parse(doc.Dump());
+  ASSERT_TRUE(round_trip.ok());
+  EXPECT_EQ(round_trip->Dump(), doc.Dump());
+}
+
+TEST(JsonTest, LookupFindsEveryKeyOfASortedObject) {
+  Json obj = Json::MakeObject();
+  for (int i = 99; i >= 0; i -= 2) obj.Set("k" + std::to_string(i), Json(i));
+  for (int i = 0; i < 100; ++i) obj.Set("k" + std::to_string(i), Json(i));
+  ASSERT_EQ(obj.as_object().size(), 100u);
+  const std::string* prev = nullptr;
+  for (const auto& [key, value] : obj.as_object()) {
+    if (prev != nullptr) EXPECT_LT(*prev, key);
+    prev = &key;
+  }
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(obj.GetInt("k" + std::to_string(i), -1), i);
+  }
+  EXPECT_EQ(obj.Find("k100"), nullptr);
+  EXPECT_EQ(obj.Find(""), nullptr);
+}
+
+// Numbers are written with std::to_chars; they must match the printf
+// formats the fingerprints were computed with, byte for byte.
+TEST(JsonTest, NumbersMatchPrintf) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {0.0, -0.0, 1e15, -1e15, 1e15 - 1,
+                                -(1e15 - 1), 1e15 + 1, 1e15 - 0.5,
+                                Limits::max(), -Limits::max(), Limits::min(),
+                                -Limits::min(), Limits::denorm_min(),
+                                -Limits::denorm_min(), 1e-5, 123456.5};
+  Rng rng(2020);
+  for (int i = 0; i < 40000; ++i) {
+    const double near = std::round((rng.NextDouble() - 0.5) * 2e4);
+    values.push_back(1e15 + near);  // integers either side of the cut-off
+    values.push_back(-1e15 + near);
+    values.push_back((rng.NextDouble() - 0.5) * 1e6);
+    values.push_back(std::round((rng.NextDouble() - 0.5) * 1e12));
+    double v = 0;
+    uint64_t bits = rng.Next();
+    std::memcpy(&v, &bits, sizeof v);
+    values.push_back(v);  // every exponent, NaN/inf, denormals
+  }
+  size_t mismatches = 0;
+  for (double v : values) {
+    char want[400];
+    if (!std::isfinite(v)) {
+      std::snprintf(want, sizeof(want), "null");
+    } else if (v == std::floor(v) && std::fabs(v) < 1e15) {
+      std::snprintf(want, sizeof(want), "%lld", static_cast<long long>(v));
+    } else {
+      std::snprintf(want, sizeof(want), "%.17g", v);
+    }
+    const std::string got = Json(v).Dump();
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "Dump gives \"" << got << "\" but printf \"" << want
+                    << "\"";
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
 }
 
 // ---------------------------------------------------------------- RNG

@@ -18,6 +18,8 @@
 #include "hbold/exploration_service.h"
 #include "hbold/fleet.h"
 #include "hbold/presentation.h"
+#include "hbold/server.h"
+#include "store/collection.h"
 #include "viz/layout_cache.h"
 #include "workload/exploration_workload.h"
 #include "workload/ld_generator.h"
@@ -179,6 +181,62 @@ TEST(ExplorationServingTest, RefreshFlushesCacheAndKeepsTranscripts) {
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].transcript, second[i].transcript);
+  }
+}
+
+// Stored documents are immutable, so a refresh reuses the decoded objects
+// of every dataset whose two documents are the same objects as last time.
+TEST(ExplorationServingTest, RefreshDecodesOnlyDatasetsWhoseDocumentsChanged) {
+  ServingWorld world(2);
+  ASSERT_FALSE(world.fleet().RunSimulation(1).days.empty());
+  std::vector<SessionPlan> plans =
+      GenerateSessions(SmallWorkload(), kEndpoints);
+  ExplorationService service(&world.fleet(), {});
+  ASSERT_EQ(service.RefreshSnapshots(), kEndpoints);
+  const std::vector<DatasetSnapshot> first = service.catalog();
+  const std::vector<SessionResult> first_run =
+      service.RunSessions(plans, nullptr);
+
+  // No writes: every dataset hands back the very same decoded objects.
+  ASSERT_EQ(service.RefreshSnapshots(), kEndpoints);
+  for (size_t i = 0; i < kEndpoints; ++i) {
+    EXPECT_EQ(service.catalog()[i].summary, first[i].summary);
+    EXPECT_EQ(service.catalog()[i].clusters, first[i].clusters);
+  }
+
+  // Re-persist one endpoint's summary with unchanged content: only that
+  // entry is decoded again, to the same values.
+  const std::string changed = Url(2);
+  store::Collection* summaries =
+      world.fleet()
+          .shard_db(world.fleet().ShardOf(changed))
+          .GetCollection(kSummariesCollection);
+  Json filter = Json::MakeObject();
+  filter.Set("endpoint_url", changed);
+  store::DocumentPtr stored = summaries->FindOne(filter);
+  ASSERT_NE(stored, nullptr);
+  ASSERT_TRUE(summaries->Replace(filter, *stored).ok());
+  ASSERT_EQ(service.RefreshSnapshots(), kEndpoints);
+  for (size_t i = 0; i < kEndpoints; ++i) {
+    const DatasetSnapshot& now = service.catalog()[i];
+    ASSERT_EQ(now.url, first[i].url);
+    if (now.url == changed) {
+      EXPECT_NE(now.summary, first[i].summary);
+      EXPECT_NE(now.clusters, first[i].clusters);
+    } else {
+      EXPECT_EQ(now.summary, first[i].summary) << now.url;
+      EXPECT_EQ(now.clusters, first[i].clusters) << now.url;
+    }
+    EXPECT_EQ(now.schema_fingerprint, first[i].schema_fingerprint);
+    EXPECT_EQ(now.cluster_fingerprint, first[i].cluster_fingerprint);
+    EXPECT_EQ(now.extracted_day, first[i].extracted_day);
+    EXPECT_EQ(now.endpoint, first[i].endpoint);
+  }
+  const std::vector<SessionResult> last_run =
+      service.RunSessions(plans, nullptr);
+  ASSERT_EQ(last_run.size(), first_run.size());
+  for (size_t i = 0; i < last_run.size(); ++i) {
+    EXPECT_EQ(last_run[i].transcript, first_run[i].transcript);
   }
 }
 

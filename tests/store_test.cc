@@ -39,7 +39,7 @@ class CollectionTest : public ::testing::Test {
 TEST_F(CollectionTest, InsertAssignsSequentialIds) {
   EXPECT_EQ(c_.size(), 3u);
   auto doc = c_.FindOne(Obj(R"({"name":"b"})"));
-  ASSERT_TRUE(doc.has_value());
+  ASSERT_NE(doc, nullptr);
   EXPECT_EQ(doc->GetInt("_id"), 2);
 }
 
@@ -80,8 +80,8 @@ TEST_F(CollectionTest, MultipleKeysAreAnded) {
 }
 
 TEST_F(CollectionTest, FindByIdAndCount) {
-  EXPECT_TRUE(c_.FindById(1).has_value());
-  EXPECT_FALSE(c_.FindById(99).has_value());
+  EXPECT_NE(c_.FindById(1), nullptr);
+  EXPECT_EQ(c_.FindById(99), nullptr);
   EXPECT_EQ(c_.CountMatching(Obj(R"({"n":{"$gte":2}})")), 2u);
 }
 
@@ -90,7 +90,7 @@ TEST_F(CollectionTest, UpdateMergesFields) {
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 1u);
   auto doc = c_.FindOne(Obj(R"({"name":"a"})"));
-  ASSERT_TRUE(doc.has_value());
+  ASSERT_NE(doc, nullptr);
   EXPECT_EQ(doc->GetInt("n"), 10);
   EXPECT_TRUE(doc->GetBool("fresh"));
   EXPECT_EQ(doc->GetInt("_id"), 1);  // _id preserved
@@ -123,7 +123,7 @@ TEST_F(CollectionTest, UniqueIndexBlocksUpdateCollisions) {
   auto r = c_.Update(Obj(R"({"name":"b"})"), Obj(R"({"name":"a"})"));
   EXPECT_FALSE(r.ok());
   // Atomicity: b unchanged.
-  EXPECT_TRUE(c_.FindOne(Obj(R"({"name":"b"})")).has_value());
+  EXPECT_NE(c_.FindOne(Obj(R"({"name":"b"})")), nullptr);
 }
 
 TEST_F(CollectionTest, UniqueIndexRejectsExistingDuplicates) {
@@ -403,12 +403,64 @@ TEST(CollectionSnapshotTest, SnapshotIsImmutableView) {
   Collection c("snap");
   ASSERT_TRUE(c.Insert(Obj(R"({"k":1})")).ok());
   ASSERT_TRUE(c.Insert(Obj(R"({"k":2})")).ok());
-  std::vector<Document> snapshot = c.Snapshot();
+  std::vector<DocumentPtr> snapshot = c.Snapshot();
   ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].GetInt("k"), 1);
+  EXPECT_EQ(snapshot[0]->GetInt("k"), 1);
   c.Remove(Obj(R"({"k":1})"));
   EXPECT_EQ(c.size(), 1u);
   EXPECT_EQ(snapshot.size(), 2u);  // unaffected by the removal
+}
+
+// Reads hand out the stored documents themselves; writes swap in new ones,
+// so every handle keeps the content it was read with.
+TEST(CollectionSnapshotTest, HandlesKeepTheirContentAcrossWrites) {
+  Collection c("handles");
+  c.CreateIndex("k");
+  for (const char* doc : {R"({"k":1,"v":"one"})", R"({"k":2,"v":"two"})",
+                          R"({"k":3,"v":"three"})"}) {
+    ASSERT_TRUE(c.Insert(Obj(doc)).ok());
+  }
+  const Json k1 = Obj(R"({"k":1})");
+  const Json k2 = Obj(R"({"k":2})");
+  DocumentPtr one = c.FindOne(k1);
+  std::vector<DocumentPtr> twos = c.Find(k2);
+  DocumentPtr three = c.FindById(3);
+  std::vector<DocumentPtr> all = c.Snapshot();
+  ASSERT_NE(one, nullptr);
+  ASSERT_EQ(twos.size(), 1u);
+  ASSERT_NE(three, nullptr);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(one, all[0]);  // shared, not copied
+  EXPECT_EQ(three, c.FindOne(Obj(R"({"k":3})")));
+  const std::string before = c.DumpJsonl();
+
+  ASSERT_TRUE(c.Replace(k1, Obj(R"({"k":1,"v":"uno"})")).ok());
+  ASSERT_TRUE(c.Update(k2, Obj(R"({"v":"dos"})")).ok());
+  EXPECT_EQ(c.Remove(Obj(R"({"k":3})")), 1u);
+
+  EXPECT_EQ(one->GetString("v"), "one");
+  EXPECT_EQ(one->GetInt("_id"), 1);
+  EXPECT_EQ(twos[0]->GetString("v"), "two");
+  EXPECT_EQ(three->GetString("v"), "three");
+  std::string held;
+  for (const DocumentPtr& doc : all) held += doc->Dump() + "\n";
+  EXPECT_EQ(held, before);
+
+  DocumentPtr uno = c.FindOne(k1);
+  ASSERT_NE(uno, nullptr);
+  EXPECT_EQ(uno->GetString("v"), "uno");
+  DocumentPtr dos = c.FindOne(k2);
+  ASSERT_NE(dos, nullptr);
+  EXPECT_NE(dos, twos[0]);
+  EXPECT_EQ(dos->GetString("v"), "dos");
+  EXPECT_EQ(dos->GetInt("_id"), 2);
+
+  ASSERT_TRUE(c.LoadJsonl("{\"_id\":9,\"k\":1,\"v\":\"nueve\"}\n").ok());
+  EXPECT_EQ(uno->GetString("v"), "uno");
+  EXPECT_EQ(dos->GetString("v"), "dos");
+  ASSERT_NE(c.FindOne(k1), nullptr);
+  EXPECT_EQ(c.FindOne(k1)->GetString("v"), "nueve");
+  EXPECT_EQ(c.FindOne(k2), nullptr);
 }
 
 TEST(ConcurrencyTest, ParallelWritersToDistinctCollections) {
@@ -455,7 +507,9 @@ TEST(ConcurrencyTest, ParallelWritersToSameCollection) {
   EXPECT_EQ(c->size(), static_cast<size_t>(kWriters * kDocsPerWriter));
   // Every document got a distinct id.
   std::set<int64_t> ids;
-  for (const Document& doc : c->Snapshot()) ids.insert(doc.GetInt("_id"));
+  for (const DocumentPtr& doc : c->Snapshot()) {
+    ids.insert(doc->GetInt("_id"));
+  }
   EXPECT_EQ(ids.size(), static_cast<size_t>(kWriters * kDocsPerWriter));
 }
 
@@ -482,8 +536,8 @@ TEST(ConcurrencyTest, ReadersDuringWrites) {
       filter.Set("k", 3);
       while (!stop) {
         // Every doc an indexed read returns must actually match.
-        for (const Document& doc : c->Find(filter)) {
-          if (doc.GetInt("k") != 3) ++read_errors;
+        for (const DocumentPtr& doc : c->Find(filter)) {
+          if (doc->GetInt("k") != 3) ++read_errors;
         }
         c->Snapshot();
         c->CountMatching(filter);
@@ -497,6 +551,62 @@ TEST(ConcurrencyTest, ReadersDuringWrites) {
   Json filter = Json::MakeObject();
   filter.Set("k", 3);
   EXPECT_EQ(c->CountMatching(filter), 50u);
+}
+
+// Readers keep handles across a writer's Replace/Update of the very same
+// documents: a held document never changes under its reader.
+TEST(ConcurrencyTest, HandlesStableWhileWritersSwapDocuments) {
+  Collection c("swap");
+  c.CreateIndex("k");
+  constexpr int kKeys = 4;
+  for (int k = 0; k < kKeys; ++k) {
+    Json doc = Json::MakeObject();
+    doc.Set("k", k);
+    doc.Set("gen", 0);
+    ASSERT_TRUE(c.Insert(std::move(doc)).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> errors{0};
+  std::thread writer([&c, &stop] {
+    for (int gen = 1; gen <= 400; ++gen) {
+      Json filter = Json::MakeObject();
+      filter.Set("k", gen % kKeys);
+      Json doc = Json::MakeObject();
+      doc.Set("gen", gen);
+      if (gen % 2 == 0) {
+        doc.Set("k", gen % kKeys);
+        ASSERT_TRUE(c.Replace(filter, std::move(doc)).ok());
+      } else {
+        ASSERT_TRUE(c.Update(filter, doc).ok());
+      }
+    }
+    stop = true;
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&c, &stop, &errors, r] {
+      Json filter = Json::MakeObject();
+      filter.Set("k", r);
+      DocumentPtr held;
+      std::string held_dump;
+      while (!stop) {
+        if (held != nullptr && held->Dump() != held_dump) ++errors;
+        held = c.FindOne(filter);
+        if (held == nullptr || held->GetInt("k") != r) {
+          ++errors;
+          continue;
+        }
+        held_dump = held->Dump();
+        for (const DocumentPtr& doc : c.Snapshot()) {
+          if (doc->GetInt("gen") < 0) ++errors;
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(c.size(), static_cast<size_t>(kKeys));
 }
 
 }  // namespace
