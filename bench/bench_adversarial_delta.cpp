@@ -152,12 +152,8 @@ struct ArmResult {
   double wall_ms = 0;
   double total_makespan_ms = 0;
   size_t queries = 0;
-  size_t probe_skips = 0;
-  size_t delta_extractions = 0;
-  size_t probe_mismatches = 0;
-  size_t forced_refreshes = 0;
-  size_t quarantines_entered = 0;
-  size_t quarantines_exited = 0;
+  /// Day counters summed over the whole run.
+  hbold::CounterSet totals;
 };
 
 ArmResult RunArm(size_t num_endpoints, int64_t days, int64_t freeze_day,
@@ -170,12 +166,7 @@ ArmResult RunArm(size_t num_endpoints, int64_t days, int64_t freeze_day,
   result.wall_ms = wall.ElapsedMillis();
   for (const hbold::FleetDayReport& day : result.report.days) {
     result.total_makespan_ms += day.fleet_makespan_ms;
-    result.probe_skips += day.probe_skips;
-    result.delta_extractions += day.delta_extractions;
-    result.probe_mismatches += day.probe_mismatches;
-    result.forced_refreshes += day.forced_refreshes;
-    result.quarantines_entered += day.quarantines_entered;
-    result.quarantines_exited += day.quarantines_exited;
+    result.totals += day;
   }
   for (const auto& ep : world->endpoints) {
     result.queries += ep->queries_served();
@@ -244,7 +235,8 @@ int main(int argc, char** argv) {
   // Gate 3: the defenses actually fired — a run where no probe ever
   // mismatched would be vacuous.
   bool adversary_detected =
-      bounded.probe_mismatches > 0 && bounded.forced_refreshes > 0;
+      bounded.totals.probe_mismatches > 0 &&
+      bounded.totals.forced_refreshes > 0;
 
   // Gate 4: even paying for forced refreshes and quarantine, bounded
   // incremental still beats always-full-refresh in simulated fleet time.
@@ -258,16 +250,17 @@ int main(int argc, char** argv) {
               track.total_makespan_ms, bounded.total_makespan_ms);
   std::printf("%-28s %14zu %14zu\n", "endpoint queries", track.queries,
               bounded.queries);
-  std::printf("%-28s %14zu %14zu\n", "probe skips", track.probe_skips,
-              bounded.probe_skips);
+  std::printf("%-28s %14zu %14zu\n", "probe skips", track.totals.probe_skips,
+              bounded.totals.probe_skips);
   std::printf("%-28s %14zu %14zu\n", "delta extractions",
-              track.delta_extractions, bounded.delta_extractions);
+              track.totals.delta_extractions, bounded.totals.delta_extractions);
   std::printf("%-28s %14zu %14zu\n", "probe mismatches",
-              track.probe_mismatches, bounded.probe_mismatches);
+              track.totals.probe_mismatches, bounded.totals.probe_mismatches);
   std::printf("%-28s %14zu %14zu\n", "forced refreshes",
-              track.forced_refreshes, bounded.forced_refreshes);
+              track.totals.forced_refreshes, bounded.totals.forced_refreshes);
   std::printf("%-28s %14zu %14zu\n", "quarantines entered",
-              track.quarantines_entered, bounded.quarantines_entered);
+              track.totals.quarantines_entered,
+              bounded.totals.quarantines_entered);
   std::printf("\nmakespan reduction %.2fx; final state %s; kBounded "
               "history %s across {1,2,4} shards x {1,4} parallelism\n",
               makespan_reduction,
@@ -286,17 +279,17 @@ int main(int argc, char** argv) {
   report.Set("makespan_reduction", makespan_reduction);
   report.Set("track_queries", static_cast<int64_t>(track.queries));
   report.Set("bounded_queries", static_cast<int64_t>(bounded.queries));
-  report.Set("probe_skips", static_cast<int64_t>(bounded.probe_skips));
+  report.Set("probe_skips", static_cast<int64_t>(bounded.totals.probe_skips));
   report.Set("delta_extractions",
-             static_cast<int64_t>(bounded.delta_extractions));
+             static_cast<int64_t>(bounded.totals.delta_extractions));
   report.Set("probe_mismatches",
-             static_cast<int64_t>(bounded.probe_mismatches));
+             static_cast<int64_t>(bounded.totals.probe_mismatches));
   report.Set("forced_refreshes",
-             static_cast<int64_t>(bounded.forced_refreshes));
+             static_cast<int64_t>(bounded.totals.forced_refreshes));
   report.Set("quarantines_entered",
-             static_cast<int64_t>(bounded.quarantines_entered));
+             static_cast<int64_t>(bounded.totals.quarantines_entered));
   report.Set("quarantines_exited",
-             static_cast<int64_t>(bounded.quarantines_exited));
+             static_cast<int64_t>(bounded.totals.quarantines_exited));
   report.Set("track_wall_ms", track.wall_ms);
   report.Set("bounded_wall_ms", bounded.wall_ms);
   Json gates = Json::MakeObject();

@@ -60,9 +60,8 @@ struct ArmResult {
   FleetReport report;
   double wall_ms = 0;
   double total_makespan_ms = 0;
-  size_t probes = 0;
-  size_t probe_skips = 0;
-  size_t delta_extractions = 0;
+  /// Day counters summed over the whole run.
+  hbold::CounterSet totals;
   size_t queries = 0;
 };
 
@@ -97,9 +96,7 @@ ArmResult RunArm(size_t num_endpoints, int64_t days, IncrementalMode mode,
   result.wall_ms = wall.ElapsedMillis();
   for (const hbold::FleetDayReport& day : result.report.days) {
     result.total_makespan_ms += day.fleet_makespan_ms;
-    result.probes += day.probes;
-    result.probe_skips += day.probe_skips;
-    result.delta_extractions += day.delta_extractions;
+    result.totals += day;
   }
   for (const hbold::bench::FleetMember& member : members) {
     result.queries += member.endpoint->queries_served();
@@ -159,10 +156,10 @@ int main(int argc, char** argv) {
               track.total_makespan_ms, delta.total_makespan_ms);
   std::printf("%-28s %14zu %14zu\n", "endpoint queries", track.queries,
               delta.queries);
-  std::printf("%-28s %14zu %14zu\n", "probe skips", track.probe_skips,
-              delta.probe_skips);
+  std::printf("%-28s %14zu %14zu\n", "probe skips", track.totals.probe_skips,
+              delta.totals.probe_skips);
   std::printf("%-28s %14zu %14zu\n", "delta extractions",
-              track.delta_extractions, delta.delta_extractions);
+              track.totals.delta_extractions, delta.totals.delta_extractions);
   std::printf("\nmakespan reduction %.2fx, query reduction %.2fx\n",
               makespan_reduction, query_reduction);
   std::printf("content %s (fingerprint %s), kDelta history %s across "
@@ -183,10 +180,10 @@ int main(int argc, char** argv) {
   report.Set("track_queries", static_cast<int64_t>(track.queries));
   report.Set("delta_queries", static_cast<int64_t>(delta.queries));
   report.Set("query_reduction", query_reduction);
-  report.Set("probes", static_cast<int64_t>(delta.probes));
-  report.Set("probe_skips", static_cast<int64_t>(delta.probe_skips));
+  report.Set("probes", static_cast<int64_t>(delta.totals.probes));
+  report.Set("probe_skips", static_cast<int64_t>(delta.totals.probe_skips));
   report.Set("delta_extractions",
-             static_cast<int64_t>(delta.delta_extractions));
+             static_cast<int64_t>(delta.totals.delta_extractions));
   report.Set("track_wall_ms", track.wall_ms);
   report.Set("delta_wall_ms", delta.wall_ms);
   Json gates = Json::MakeObject();

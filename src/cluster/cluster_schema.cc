@@ -1,6 +1,6 @@
 #include "cluster/cluster_schema.h"
 
-#include <algorithm>
+#include <cmath>
 #include <map>
 
 namespace hbold::cluster {
@@ -134,8 +134,18 @@ Result<ClusterSchema> ClusterSchema::FromJson(const Json& j) {
   ClusterSchema cs;
   cs.endpoint_url_ = j.GetString("endpoint_url");
   const Json* clusters = j.Find("clusters");
-  size_t max_node = 0;
+  // A Cluster Schema partitions nodes 0..n-1, so every member must be a
+  // node index below the total member count n. Stored documents are
+  // external input (.hbsnap files): reject anything else rather than
+  // index past cluster_of_ or size it from an untrusted number.
+  size_t total_members = 0;
   if (clusters != nullptr && clusters->is_array()) {
+    for (const Json& cj : clusters->as_array()) {
+      const Json* members = cj.Find("classes");
+      if (members != nullptr && members->is_array()) {
+        total_members += members->as_array().size();
+      }
+    }
     for (const Json& cj : clusters->as_array()) {
       Cluster c;
       c.label = cj.GetString("label");
@@ -143,16 +153,21 @@ Result<ClusterSchema> ClusterSchema::FromJson(const Json& j) {
       const Json* members = cj.Find("classes");
       if (members != nullptr && members->is_array()) {
         for (const Json& m : members->as_array()) {
-          if (!m.is_number()) continue;
-          size_t node = static_cast<size_t>(m.as_int());
-          c.class_nodes.push_back(node);
-          max_node = std::max(max_node, node);
+          // NaN fails every comparison, so it is rejected too.
+          const double node = m.is_number() ? m.as_number() : -1;
+          if (!(node >= 0 && node < static_cast<double>(total_members) &&
+                std::trunc(node) == node)) {
+            return Status::InvalidArgument(
+                "cluster member is not a node index below " +
+                std::to_string(total_members));
+          }
+          c.class_nodes.push_back(static_cast<size_t>(node));
         }
       }
       cs.clusters_.push_back(std::move(c));
     }
   }
-  cs.cluster_of_.assign(max_node + 1, 0);
+  cs.cluster_of_.assign(total_members, 0);
   for (size_t ci = 0; ci < cs.clusters_.size(); ++ci) {
     for (size_t node : cs.clusters_[ci].class_nodes) {
       cs.cluster_of_[node] = ci;

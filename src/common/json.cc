@@ -391,7 +391,7 @@ double Json::GetNumber(std::string_view key, double default_value) const {
 
 int64_t Json::GetInt(std::string_view key, int64_t default_value) const {
   const Json* v = Find(key);
-  if (v == nullptr || !v->is_number()) return default_value;
+  if (v == nullptr || !v->fits_int64()) return default_value;
   return v->as_int();
 }
 

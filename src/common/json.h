@@ -60,7 +60,14 @@ class Json {
   /// typed Get* helpers for checked access.
   bool as_bool() const { return bool_; }
   double as_number() const { return num_; }
+  /// Truncates toward zero; only defined when fits_int64().
   int64_t as_int() const { return static_cast<int64_t>(num_); }
+  /// A finite number inside int64's range, so as_int() is defined.
+  /// Stored documents are external input: check before converting.
+  bool fits_int64() const {
+    return is_number() && num_ >= -9223372036854775808.0 &&
+           num_ < 9223372036854775808.0;
+  }
   const std::string& as_string() const { return str_; }
   const Array& as_array() const { return arr_; }
   Array& as_array() { return arr_; }
@@ -74,6 +81,7 @@ class Json {
   std::string GetString(std::string_view key,
                         std::string default_value = "") const;
   double GetNumber(std::string_view key, double default_value = 0) const;
+  /// `default_value` also when the number does not fit an int64.
   int64_t GetInt(std::string_view key, int64_t default_value = 0) const;
   bool GetBool(std::string_view key, bool default_value = false) const;
 

@@ -77,7 +77,7 @@ Result<IndexSummary> IndexSummary::FromJson(const Json& j) {
           if (ranges != nullptr && ranges->is_object()) {
             for (const auto& [range, n] : ranges->as_object()) {
               p.range_classes[range] =
-                  n.is_number() ? static_cast<size_t>(n.as_int()) : 0;
+                  n.fits_int64() ? static_cast<size_t>(n.as_int()) : 0;
             }
           }
           c.properties.push_back(std::move(p));

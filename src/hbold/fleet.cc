@@ -139,8 +139,7 @@ Fleet::Fleet(std::unique_ptr<sim::EventLoop> owned, sim::EventLoop* loop,
   for (int s = 0; s < options_.num_shards; ++s) {
     dbs_.push_back(std::make_unique<store::Database>());
     shards_.push_back(std::make_unique<Server>(
-        dbs_.back().get(), static_cast<const sim::Timeline*>(loop_),
-        options_.server));
+        dbs_.back().get(), loop_->clock(), options_.server));
   }
   if (options_.fleet_workers > 1) pool_.emplace(options_.fleet_workers);
 }
@@ -261,44 +260,22 @@ void Fleet::MergeShardReports(std::vector<DailyReport> shard_reports,
     auto oit = outcome_idx[s].find(url);
     if (oit == outcome_idx[s].end()) continue;  // not due today
     const DueOutcome& outcome = shard_reports[s].outcomes[oit->second];
-    ++day_report->due;
     // Canonical cost fold: strictly in global registration order, never
     // via the per-shard ledger sums (whose float addition order depends
     // on the deployment).
     day_report->sum_latency_ms += outcome.charged_latency_ms;
-    if (outcome.succeeded) {
-      ++day_report->succeeded;
-    } else {
-      ++day_report->failed;
-    }
     day_report->outcomes.push_back(outcome);
     auto rit = report_idx[s].find(url);
     if (rit != report_idx[s].end()) {
-      PipelineReport& report = shard_reports[s].reports[rit->second];
-      if (report.reused_cluster_schema) ++day_report->reused;
-      if (report.probed) ++day_report->probes;
-      if (report.probe_skipped) ++day_report->probe_skips;
-      if (report.delta_extracted) ++day_report->delta_extractions;
-      if (report.probe_mismatch) ++day_report->probe_mismatches;
-      if (report.forced_refresh) ++day_report->forced_refreshes;
-      if (report.quarantine_entered) ++day_report->quarantines_entered;
-      if (report.quarantine_exited) ++day_report->quarantines_exited;
-      day_report->reports.push_back(std::move(report));
+      day_report->reports.push_back(
+          std::move(shard_reports[s].reports[rit->second]));
     }
   }
 
   for (DailyReport& shard : shard_reports) {
+    *day_report += shard;
     day_report->fleet_makespan_ms =
         std::max(day_report->fleet_makespan_ms, shard.batched_makespan_ms);
-    // Per-shard plan-cache / hash-join deployment counters, summed for
-    // the fleet view (never part of the canonical dump).
-    day_report->plan_cache_hits += shard.plan_cache_hits;
-    day_report->plan_cache_misses += shard.plan_cache_misses;
-    day_report->hash_join_builds += shard.hash_join_builds;
-    // Keyed sum, so the merged histogram is independent of shard count.
-    for (const auto& [days_stale, n] : shard.staleness_histogram) {
-      day_report->staleness_histogram[days_stale] += n;
-    }
     // The pipeline reports were moved into the merged list above; drop
     // the gutted shells rather than publish moved-from objects. The
     // per-shard view keeps its counters, outcomes, and makespans.
@@ -514,41 +491,9 @@ std::string FleetReport::CanonicalDump() const {
   for (const FleetDayReport& day : days) {
     Json d = Json::MakeObject();
     d.Set("day", day.day);
-    d.Set("due", static_cast<int64_t>(day.due));
-    d.Set("succeeded", static_cast<int64_t>(day.succeeded));
-    d.Set("failed", static_cast<int64_t>(day.failed));
-    d.Set("reused", static_cast<int64_t>(day.reused));
-    // Conditional like the per-report markers: absent under kOff so the
-    // committed pre-incremental fingerprints still match.
-    if (day.probes > 0) {
-      d.Set("probes", static_cast<int64_t>(day.probes));
-      d.Set("probe_skips", static_cast<int64_t>(day.probe_skips));
-      d.Set("delta_extractions",
-            static_cast<int64_t>(day.delta_extractions));
-    }
-    // Defense counters and the staleness histogram, likewise emitted only
-    // when something moved (honest kOff/kTrack days stay byte-identical).
-    if (day.probe_mismatches > 0) {
-      d.Set("probe_mismatches", static_cast<int64_t>(day.probe_mismatches));
-    }
-    if (day.forced_refreshes > 0) {
-      d.Set("forced_refreshes", static_cast<int64_t>(day.forced_refreshes));
-    }
-    if (day.quarantines_entered > 0) {
-      d.Set("quarantines_entered",
-            static_cast<int64_t>(day.quarantines_entered));
-    }
-    if (day.quarantines_exited > 0) {
-      d.Set("quarantines_exited",
-            static_cast<int64_t>(day.quarantines_exited));
-    }
-    if (!day.staleness_histogram.empty()) {
-      Json hist = Json::MakeObject();
-      for (const auto& [days_stale, n] : day.staleness_histogram) {
-        hist.Set(std::to_string(days_stale), static_cast<int64_t>(n));
-      }
-      d.Set("staleness_histogram", std::move(hist));
-    }
+    // Incremental and defense counters appear only once they moved, so
+    // kOff and honest-fleet dumps keep their committed fingerprints.
+    day.WriteTo(&d, /*canonical=*/true);
     d.Set("arrivals", static_cast<int64_t>(day.arrivals));
     d.Set("deaths", static_cast<int64_t>(day.deaths));
     d.Set("sum_latency_ms", day.sum_latency_ms);
@@ -624,26 +569,7 @@ Json FleetReport::ToJson() const {
   for (const FleetDayReport& day : days) {
     Json d = Json::MakeObject();
     d.Set("day", day.day);
-    d.Set("due", static_cast<int64_t>(day.due));
-    d.Set("succeeded", static_cast<int64_t>(day.succeeded));
-    d.Set("failed", static_cast<int64_t>(day.failed));
-    d.Set("reused", static_cast<int64_t>(day.reused));
-    d.Set("probes", static_cast<int64_t>(day.probes));
-    d.Set("probe_skips", static_cast<int64_t>(day.probe_skips));
-    d.Set("delta_extractions", static_cast<int64_t>(day.delta_extractions));
-    d.Set("probe_mismatches", static_cast<int64_t>(day.probe_mismatches));
-    d.Set("forced_refreshes", static_cast<int64_t>(day.forced_refreshes));
-    d.Set("quarantines_entered",
-          static_cast<int64_t>(day.quarantines_entered));
-    d.Set("quarantines_exited",
-          static_cast<int64_t>(day.quarantines_exited));
-    {
-      Json hist = Json::MakeObject();
-      for (const auto& [days_stale, n] : day.staleness_histogram) {
-        hist.Set(std::to_string(days_stale), static_cast<int64_t>(n));
-      }
-      d.Set("staleness_histogram", std::move(hist));
-    }
+    day.WriteTo(&d, /*canonical=*/false);
     d.Set("arrivals", static_cast<int64_t>(day.arrivals));
     d.Set("deaths", static_cast<int64_t>(day.deaths));
     d.Set("sum_latency_ms", day.sum_latency_ms);
@@ -651,9 +577,6 @@ Json FleetReport::ToJson() const {
     d.Set("sim_makespan_ms", day.sim_makespan_ms);
     d.Set("wall_ms", day.wall_ms);
     d.Set("overran_day", day.overran_day);
-    d.Set("plan_cache_hits", static_cast<int64_t>(day.plan_cache_hits));
-    d.Set("plan_cache_misses", static_cast<int64_t>(day.plan_cache_misses));
-    d.Set("hash_join_builds", static_cast<int64_t>(day.hash_join_builds));
     Json shards = Json::MakeArray();
     for (const DailyReport& s : day.shard_reports) {
       Json sj = Json::MakeObject();

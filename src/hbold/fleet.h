@@ -152,28 +152,10 @@ struct FleetOptions {
   int virtual_workers = 4;
 };
 
-/// One simulated day of the whole fleet, merged across shards.
-struct FleetDayReport {
+/// One simulated day of the whole fleet, merged across shards. The
+/// counters are the shards' CounterSets summed.
+struct FleetDayReport : CounterSet {
   int64_t day = 0;
-  size_t due = 0;
-  size_t succeeded = 0;
-  size_t failed = 0;
-  size_t reused = 0;
-  /// Incremental-extraction counters folded in global registration order
-  /// (zero under IncrementalMode::kOff).
-  size_t probes = 0;
-  size_t probe_skips = 0;
-  size_t delta_extractions = 0;
-  /// Adversarial-endpoint defense counters folded in global registration
-  /// order (all zero on honest fleets).
-  size_t probe_mismatches = 0;
-  size_t forced_refreshes = 0;
-  size_t quarantines_entered = 0;
-  size_t quarantines_exited = 0;
-  /// Staleness histogram merged across shards: days since the last
-  /// verified full refresh -> successful endpoint count. Populated only
-  /// under the delta modes.
-  std::map<int64_t, size_t> staleness_histogram;
   /// Endpoints churned in / gone dark at the start of this day.
   size_t arrivals = 0;
   size_t deaths = 0;
@@ -195,12 +177,6 @@ struct FleetDayReport {
   double sim_makespan_ms = 0;
   /// Real wall-clock of the day's cycles.
   double wall_ms = 0;
-  /// Query-engine deployment counters summed over shards (each shard's
-  /// per-endpoint plan caches): like wall_ms these describe how the day
-  /// was computed, not what it computed, and stay out of CanonicalDump().
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t hash_join_builds = 0;
   /// True when sim_makespan_ms pushed the cycle's completion to (or past)
   /// the next day boundary — the fleet cannot keep up with daily cycles.
   /// The next cycle then starts immediately as a catch-up cycle instead
@@ -280,11 +256,10 @@ class Fleet {
   /// `loop->clock()` so the whole world shares one timeline.
   Fleet(sim::EventLoop* loop, const FleetOptions& options);
 
-  /// SimClock compatibility shim (one release): wraps `clock` in an
-  /// internally-owned EventLoop. Existing worlds whose endpoints bind to
-  /// a bare SimClock keep working unchanged; RunDay()/RunSimulation()
-  /// schedule onto the internal loop and drain it. New code should build
-  /// the EventLoop itself and use the primary constructor.
+  /// Wraps `clock` in an internally-owned EventLoop, for worlds whose
+  /// endpoints bind to a bare SimClock (perfbench builds its fleets this
+  /// way, as do several benches and tests). RunDay()/RunSimulation()
+  /// schedule onto the internal loop and drain it.
   Fleet(SimClock* clock, const FleetOptions& options);
 
   size_t num_shards() const { return shards_.size(); }
@@ -375,7 +350,7 @@ class Fleet {
   void MergeShardReports(std::vector<DailyReport> shard_reports,
                          FleetDayReport* day_report) const;
 
-  /// Owned only by the SimClock compatibility constructor.
+  /// Owned only by the SimClock constructor.
   std::unique_ptr<sim::EventLoop> owned_loop_;
   sim::EventLoop* loop_;
   FleetOptions options_;

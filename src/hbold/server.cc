@@ -17,12 +17,6 @@
 namespace hbold {
 
 namespace {
-ServerOptions WithRefreshAge(int64_t refresh_age_days) {
-  ServerOptions options;
-  options.refresh_age_days = refresh_age_days;
-  return options;
-}
-
 extraction::IndexExtractor MakeExtractor(const ServerOptions& options) {
   if (options.paginated_page_size == 0) return extraction::IndexExtractor();
   std::vector<std::unique_ptr<extraction::ExtractionStrategy>> chain;
@@ -32,25 +26,86 @@ extraction::IndexExtractor MakeExtractor(const ServerOptions& options) {
       options.paginated_page_size));
   return extraction::IndexExtractor(std::move(chain));
 }
+
+/// When a counter appears in the canonical dump (see CounterSet::WriteTo).
+enum class Emit { kAlways, kWithProbes, kNonzero, kDeployment };
+
+struct CounterField {
+  const char* key;
+  size_t CounterSet::*field;
+  Emit emit;
+};
+
+/// Every scalar counter, its serialized key and its emission rule.
+constexpr CounterField kCounterFields[] = {
+    {"due", &CounterSet::due, Emit::kAlways},
+    {"succeeded", &CounterSet::succeeded, Emit::kAlways},
+    {"failed", &CounterSet::failed, Emit::kAlways},
+    {"reused", &CounterSet::reused, Emit::kAlways},
+    {"probes", &CounterSet::probes, Emit::kWithProbes},
+    {"probe_skips", &CounterSet::probe_skips, Emit::kWithProbes},
+    {"delta_extractions", &CounterSet::delta_extractions, Emit::kWithProbes},
+    {"probe_mismatches", &CounterSet::probe_mismatches, Emit::kNonzero},
+    {"forced_refreshes", &CounterSet::forced_refreshes, Emit::kNonzero},
+    {"quarantines_entered", &CounterSet::quarantines_entered, Emit::kNonzero},
+    {"quarantines_exited", &CounterSet::quarantines_exited, Emit::kNonzero},
+    {"plan_cache_hits", &CounterSet::plan_cache_hits, Emit::kDeployment},
+    {"plan_cache_misses", &CounterSet::plan_cache_misses, Emit::kDeployment},
+    {"hash_join_builds", &CounterSet::hash_join_builds, Emit::kDeployment},
+};
+
 }  // namespace
 
-Server::Server(store::Database* db, const sim::Timeline* timeline,
+// ------------------------------------------------------------ counters
+
+void CounterSet::AddSuccess(const PipelineReport& report, bool staleness) {
+  ++succeeded;
+  if (report.reused_cluster_schema) ++reused;
+  if (report.probed) ++probes;
+  if (report.probe_skipped) ++probe_skips;
+  if (report.delta_extracted) ++delta_extractions;
+  if (report.probe_mismatch) ++probe_mismatches;
+  if (report.forced_refresh) ++forced_refreshes;
+  if (report.quarantine_entered) ++quarantines_entered;
+  if (report.quarantine_exited) ++quarantines_exited;
+  if (staleness) ++staleness_histogram[report.staleness_days];
+}
+
+CounterSet& CounterSet::operator+=(const CounterSet& other) {
+  for (const CounterField& c : kCounterFields) this->*c.field += other.*c.field;
+  for (const auto& [days_stale, n] : other.staleness_histogram) {
+    staleness_histogram[days_stale] += n;
+  }
+  return *this;
+}
+
+void CounterSet::WriteTo(Json* out, bool canonical) const {
+  for (const CounterField& c : kCounterFields) {
+    const size_t value = this->*c.field;
+    if (canonical && (c.emit == Emit::kDeployment ||
+                      (c.emit == Emit::kWithProbes && probes == 0) ||
+                      (c.emit == Emit::kNonzero && value == 0))) {
+      continue;
+    }
+    out->Set(c.key, static_cast<int64_t>(value));
+  }
+  if (canonical && staleness_histogram.empty()) return;
+  Json hist = Json::MakeObject();
+  for (const auto& [days_stale, n] : staleness_histogram) {
+    hist.Set(std::to_string(days_stale), static_cast<int64_t>(n));
+  }
+  out->Set("staleness_histogram", std::move(hist));
+}
+
+// -------------------------------------------------------------- server
+
+Server::Server(store::Database* db, const SimClock* clock,
                const ServerOptions& options)
     : db_(db),
-      timeline_(timeline),
+      clock_(clock),
       options_(options),
       scheduler_(options.refresh_age_days),
       extractor_(MakeExtractor(options)) {}
-
-Server::Server(store::Database* db, SimClock* clock, int64_t refresh_age_days)
-    : Server(db, clock, WithRefreshAge(refresh_age_days)) {}
-
-Server::Server(store::Database* db, SimClock* clock,
-               const ServerOptions& options)
-    : Server(db, static_cast<const sim::Timeline*>(nullptr), options) {
-  owned_timeline_ = std::make_unique<sim::ClockTimeline>(clock);
-  timeline_ = owned_timeline_.get();
-}
 
 void Server::AttachEndpoint(const std::string& url,
                             endpoint::SparqlEndpoint* ep) {
@@ -87,7 +142,7 @@ Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
                                                    PipelineCost* cost) {
   PipelineReport report;
   report.url = url;
-  const int64_t today = timeline_->NowDay();
+  const int64_t today = clock_->NowDay();
 
   // Bookkeeping writes go through the registry's serialized update path so
   // concurrent pipelines never race on a shared record.
@@ -642,7 +697,7 @@ DailyReport Server::RunDailyCycle(int parallelism) {
   // days of a multi-day simulation. (The due list is recomputed inside
   // RunDailyCycleOn from the same registry state; DueToday is read-only,
   // so the two computations agree.)
-  if (scheduler_.DueToday(registry_.Snapshot(), timeline_->NowDay()).size() <=
+  if (scheduler_.DueToday(registry_.Snapshot(), clock_->NowDay()).size() <=
       1) {
     return RunDailyCycleOn(nullptr, parallelism);
   }
@@ -660,7 +715,7 @@ endpoint::QueryEngineStats Server::SumEngineStats() const {
 
 DailyReport Server::RunDailyCycleOn(ThreadPool* pool, int parallelism) {
   DailyReport daily;
-  daily.day = timeline_->NowDay();
+  daily.day = clock_->NowDay();
   daily.parallelism = std::max(1, parallelism);
 
   // Data evolves first: every attached endpoint applies its seeded
@@ -696,6 +751,9 @@ DailyReport Server::RunDailyCycleOn(ThreadPool* pool, int parallelism) {
   // (sum). A second ledger replays the same schedule with each pipeline
   // shortened to its intra-pipeline makespan — the duration when batched
   // queries overlap inside pipelines too.
+  const bool staleness =
+      options_.incremental.mode == IncrementalMode::kDelta ||
+      options_.incremental.mode == IncrementalMode::kBounded;
   WorkerLatencyLedger ledger(static_cast<size_t>(daily.parallelism));
   WorkerLatencyLedger batched_ledger(static_cast<size_t>(daily.parallelism));
   daily.outcomes.reserve(slots.size());
@@ -707,20 +765,7 @@ DailyReport Server::RunDailyCycleOn(ThreadPool* pool, int parallelism) {
                                         costs[i].latency_ms,
                                         costs[i].intra_ms});
     if (result.ok()) {
-      ++daily.succeeded;
-      if (result->reused_cluster_schema) ++daily.reused;
-      if (result->probed) ++daily.probes;
-      if (result->probe_skipped) ++daily.probe_skips;
-      if (result->delta_extracted) ++daily.delta_extractions;
-      if (result->probe_mismatch) ++daily.probe_mismatches;
-      if (result->forced_refresh) ++daily.forced_refreshes;
-      if (result->quarantine_entered) ++daily.quarantines_entered;
-      if (result->quarantine_exited) ++daily.quarantines_exited;
-      const IncrementalMode mode = options_.incremental.mode;
-      if (mode == IncrementalMode::kDelta ||
-          mode == IncrementalMode::kBounded) {
-        ++daily.staleness_histogram[result->staleness_days];
-      }
+      daily.AddSuccess(*result, staleness);
       daily.reports.push_back(std::move(*result));
     } else {
       ++daily.failed;

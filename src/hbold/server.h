@@ -5,11 +5,9 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "common/clock.h"
+#include "common/json.h"
 #include "common/result.h"
-#include "sim/timeline.h"
 #include "endpoint/endpoint.h"
 #include "endpoint/registry.h"
 #include "extraction/extractor.h"
@@ -165,9 +163,13 @@ struct DueOutcome {
   double charged_intra_ms = 0;
 };
 
-/// Outcome of one daily update cycle (§3.1).
-struct DailyReport {
-  int64_t day = 0;
+/// The §3.1 cycle counters, shared by every report level: a DailyReport
+/// folds its successful pipelines into them, a FleetDayReport sums its
+/// shards' with +=, and one serializer writes them wherever a report is
+/// dumped. Integer sums are order-free, so a merged CounterSet is the same
+/// whatever the shard count or the merge order.
+struct CounterSet {
+  // ---- canonical: deployment-invariant, part of CanonicalDump() ----
   size_t due = 0;
   size_t succeeded = 0;
   size_t failed = 0;
@@ -175,21 +177,46 @@ struct DailyReport {
   /// skipped per §3.2). Probe-skips count here too — a skipped pipeline
   /// is the strongest form of reuse.
   size_t reused = 0;
-  /// Incremental-extraction counters over the day's successful runs:
-  /// probes issued, endpoints skipped as quiet, dirty-class re-extractions.
+  /// Incremental-extraction counters over the successful runs: probes
+  /// issued, endpoints skipped as quiet, dirty-class re-extractions.
   size_t probes = 0;
   size_t probe_skips = 0;
   size_t delta_extractions = 0;
-  /// Adversarial-endpoint defense counters over the day's runs (all zero
-  /// on honest fleets; see the PipelineReport flags they fold).
+  /// Adversarial-endpoint defense counters (all zero on honest fleets;
+  /// see the PipelineReport flags they fold).
   size_t probe_mismatches = 0;
   size_t forced_refreshes = 0;
   size_t quarantines_entered = 0;
   size_t quarantines_exited = 0;
-  /// Staleness histogram over the day's successful incremental runs:
-  /// days-since-last-full-refresh -> endpoint count. Empty outside the
-  /// delta modes (kDelta/kBounded), keeping earlier reports byte-stable.
+  /// Days since the last verified full refresh -> successful endpoint
+  /// count. Populated only under the delta modes (kDelta/kBounded).
   std::map<int64_t, size_t> staleness_histogram;
+
+  // ---- deployment: how the work was computed, not what ----
+  /// Query-engine plan-cache and hash-join activity. A concurrent batch
+  /// can turn one would-be hit into a second miss, so these sit next to
+  /// the wall clock and stay out of the canonical content.
+  size_t plan_cache_hits = 0;
+  size_t plan_cache_misses = 0;
+  size_t hash_join_builds = 0;
+
+  /// Counts one successful pipeline: `succeeded` and every counter its
+  /// flags set. `staleness` adds its staleness_days to the histogram.
+  void AddSuccess(const PipelineReport& report, bool staleness);
+
+  CounterSet& operator+=(const CounterSet& other);
+
+  /// Sets every counter on the JSON object `out`. `canonical` writes only
+  /// what the canonical dump has always carried: due/succeeded/failed/
+  /// reused always; probes/probe_skips/delta_extractions only when
+  /// probes > 0; each defense counter and the histogram only when
+  /// nonzero/non-empty; no deployment counter. Otherwise all are written.
+  void WriteTo(Json* out, bool canonical) const;
+};
+
+/// Outcome of one daily update cycle (§3.1).
+struct DailyReport : CounterSet {
+  int64_t day = 0;
   /// Worker count the cycle ran with (1 = sequential).
   int parallelism = 1;
   /// Real wall-clock of the whole cycle.
@@ -212,14 +239,6 @@ struct DailyReport {
   /// batching is off; the gap between the two is what intra-pipeline
   /// fan-out buys.
   double batched_makespan_ms = 0;
-  /// Query-engine deployment counters: the cycle's delta of the attached
-  /// endpoints' plan-cache and hash-join activity (summed in URL order).
-  /// Deployment figures like wall_ms — a concurrent batch can turn one
-  /// would-be hit into a second miss, so these are reported next to the
-  /// wall clock and excluded from the canonical (bit-identical) content.
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t hash_join_builds = 0;
   /// Reports in registry (due-list) order, independent of the order in
   /// which workers actually finished.
   std::vector<PipelineReport> reports;
@@ -260,19 +279,13 @@ struct ServerOptions {
 /// endpoints.
 class Server {
  public:
-  /// Primary constructor: the server *reads* simulated time through
-  /// `timeline` (a sim::EventLoop, or any Timeline) and never advances
-  /// it — under the event-loop redesign only the loop's dispatcher moves
-  /// time. `db` and `timeline` must outlive the server.
-  Server(store::Database* db, const sim::Timeline* timeline,
-         const ServerOptions& options);
-
-  /// SimClock compatibility shims (one release): wrap `clock` in an
-  /// owned ClockTimeline so pre-event-loop callers that still advance a
-  /// bare SimClock between manual cycles keep working unchanged.
-  Server(store::Database* db, SimClock* clock,
-         int64_t refresh_age_days = 7);
-  Server(store::Database* db, SimClock* clock, const ServerOptions& options);
+  /// The server *reads* simulated time from `clock` and never advances
+  /// it: under the event loop only the loop's dispatcher moves time (a
+  /// Fleet passes its loop's clock), and a caller driving manual cycles
+  /// advances its own clock between them. `db` and `clock` must outlive
+  /// the server.
+  Server(store::Database* db, const SimClock* clock,
+         const ServerOptions& options = {});
 
   const ServerOptions& options() const { return options_; }
 
@@ -360,9 +373,7 @@ class Server {
   endpoint::QueryEngineStats SumEngineStats() const;
 
   store::Database* db_;
-  /// Owned only by the SimClock compatibility constructors.
-  std::unique_ptr<sim::ClockTimeline> owned_timeline_;
-  const sim::Timeline* timeline_;
+  const SimClock* clock_;
   ServerOptions options_;
   extraction::RefreshScheduler scheduler_;
   extraction::IndexExtractor extractor_;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "sim/timeline.h"
 
 namespace hbold::sim {
 
@@ -62,9 +61,9 @@ struct EventRecord {
 /// order they were scheduled, which is what makes event histories
 /// byte-comparable across runs.
 ///
-/// The loop drives a SimClock (owned, or bound via the compatibility
+/// The loop drives a SimClock (owned, or bound via the SimClock
 /// constructor): dispatching an event first sets the clock to the event's
-/// time, so everything that reads time through sim::Timeline — schedulers,
+/// time, so everything that reads that clock — servers, schedulers,
 /// availability models, simulated endpoints — sees a consistent instant.
 ///
 /// Not thread-safe: all scheduling and dispatching must happen on one
@@ -72,24 +71,27 @@ struct EventRecord {
 /// dispatching thread touches the loop). That single-threaded discipline
 /// is deliberate — it is what keeps sequence numbers, and with them the
 /// whole history, independent of worker counts.
-class EventLoop final : public Timeline {
+class EventLoop final {
  public:
   using Handler = std::function<void()>;
 
   /// Owns its clock, starting at t = 0.
   EventLoop();
 
-  /// Binds an externally-owned clock (the SimClock compatibility shim):
-  /// simulated endpoints built against `clock` share the loop's timeline
-  /// without being rebuilt. `clock` must outlive the loop.
+  /// Binds an externally-owned clock: simulated endpoints built against
+  /// `clock` share the loop's timeline without being rebuilt. `clock`
+  /// must outlive the loop.
   explicit EventLoop(SimClock* clock);
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  int64_t NowMs() const override { return clock_->NowMs(); }
+  /// Milliseconds since the simulation epoch, and the simulated day
+  /// index (§3.1 refresh granularity).
+  int64_t NowMs() const { return clock_->NowMs(); }
+  int64_t NowDay() const { return clock_->NowDay(); }
 
-  /// The driven clock — what legacy SimClock-reading code binds to.
+  /// The driven clock — what servers and simulated endpoints read.
   SimClock* clock() { return clock_; }
   const SimClock* clock() const { return clock_; }
 

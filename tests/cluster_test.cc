@@ -387,5 +387,32 @@ TEST(ClusterSchemaTest, FromJsonRejectsBadArc) {
   EXPECT_FALSE(ClusterSchema::FromJson(j).ok());
 }
 
+TEST(ClusterSchemaTest, FromJsonRejectsBadMembers) {
+  // Stored Cluster Schemas come back from .hbsnap files: a member must be
+  // a node index below the total member count, or the document is
+  // rejected (a negative index would wrap and write out of bounds).
+  for (const char* text :
+       {R"({"clusters":[{"classes":[-1]}]})",
+        R"({"clusters":[{"classes":[0]},{"classes":[2]}]})",
+        R"({"clusters":[{"classes":[1e300]}]})",
+        R"({"clusters":[{"classes":[-1e400]}]})",
+        R"({"clusters":[{"classes":[1e15]}]})",
+        R"({"clusters":[{"classes":[0.5]}]})",
+        R"({"clusters":[{"classes":["0"]}]})"}) {
+    auto j = Json::Parse(text);
+    ASSERT_TRUE(j.ok()) << text;
+    EXPECT_FALSE(ClusterSchema::FromJson(*j).ok()) << text;
+  }
+  // Any partition of 0..n-1 is accepted, in any member order.
+  auto ok = Json::Parse(R"({"clusters":[{"classes":[2,0]},{"classes":[1]}]})");
+  ASSERT_TRUE(ok.ok());
+  auto cs = ClusterSchema::FromJson(*ok);
+  ASSERT_TRUE(cs.ok()) << cs.status();
+  EXPECT_EQ(cs->ClusterOf(0), 0);
+  EXPECT_EQ(cs->ClusterOf(1), 1);
+  EXPECT_EQ(cs->ClusterOf(2), 0);
+  EXPECT_EQ(cs->ClusterOf(3), -1);
+}
+
 }  // namespace
 }  // namespace hbold::cluster

@@ -243,6 +243,25 @@ TEST(JsonTest, FieldAccessors) {
   EXPECT_EQ(doc->Find("nope"), nullptr);
 }
 
+TEST(JsonTest, GetIntDefaultsWhenTheNumberDoesNotFitInt64) {
+  Json doc = Json::MakeObject();
+  doc.Set("huge", 1e300);
+  doc.Set("tiny", -1e300);
+  doc.Set("two_pow_63", 9223372036854775808.0);
+  doc.Set("minus_two_pow_63", -9223372036854775808.0);
+  doc.Set("inf", std::numeric_limits<double>::infinity());
+  doc.Set("nan", std::numeric_limits<double>::quiet_NaN());
+  doc.Set("fraction", -2.75);
+  EXPECT_EQ(doc.GetInt("huge", 7), 7);
+  EXPECT_EQ(doc.GetInt("tiny", 7), 7);
+  EXPECT_EQ(doc.GetInt("two_pow_63", 7), 7);
+  EXPECT_EQ(doc.GetInt("minus_two_pow_63", 7),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(doc.GetInt("inf", 7), 7);
+  EXPECT_EQ(doc.GetInt("nan", 7), 7);
+  EXPECT_EQ(doc.GetInt("fraction", 7), -2);  // truncates, as before
+}
+
 TEST(JsonTest, SetAndAppend) {
   Json obj = Json::MakeObject();
   obj.Set("k", Json(1));

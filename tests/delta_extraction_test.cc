@@ -161,8 +161,8 @@ struct RunResult {
   std::map<std::string, std::string> indexes;
   std::string stores;
   size_t queries = 0;
-  size_t probe_skips = 0;
-  size_t delta_extractions = 0;
+  /// The report's day counters summed over every day.
+  CounterSet totals;
 };
 
 RunResult RunWorld(FleetOptions options, double churn = kChurnFraction) {
@@ -174,10 +174,7 @@ RunResult RunWorld(FleetOptions options, double churn = kChurnFraction) {
   r.indexes = MergedCanonicalCollection(world.fleet(), kIndexesCollection);
   r.stores = world.DumpAllStores();
   r.queries = world.TotalQueriesServed();
-  for (const auto& day : r.report.days) {
-    r.probe_skips += day.probe_skips;
-    r.delta_extractions += day.delta_extractions;
-  }
+  for (const auto& day : r.report.days) r.totals += day;
   return r;
 }
 
@@ -210,9 +207,9 @@ TEST(DeltaExtractionTest, DeltaMatchesFullReextraction) {
   EXPECT_EQ(delta.indexes, track.indexes);
 
   // The delta arm actually took the cheap paths, and they paid off.
-  EXPECT_GT(delta.probe_skips, 0u);
-  EXPECT_GT(delta.delta_extractions, 0u);
-  EXPECT_EQ(track.probe_skips, 0u);
+  EXPECT_GT(delta.totals.probe_skips, 0u);
+  EXPECT_GT(delta.totals.delta_extractions, 0u);
+  EXPECT_EQ(track.totals.probe_skips, 0u);
   EXPECT_LT(delta.queries, track.queries);
   EXPECT_LT(delta.queries, off.queries);
 }
@@ -221,7 +218,8 @@ TEST(DeltaExtractionTest, DeltaMatchesFullReextraction) {
 /// count and parallelism never change the canonical history.
 TEST(DeltaExtractionTest, DeltaInvariantAcrossDeployments) {
   RunResult baseline = RunWorld(Config(1, 1, IncrementalMode::kDelta));
-  ASSERT_GT(baseline.probe_skips + baseline.delta_extractions, 0u);
+  ASSERT_GT(baseline.totals.probe_skips + baseline.totals.delta_extractions,
+            0u);
   const std::string baseline_dump = baseline.report.CanonicalDump();
 
   struct Deployment {
@@ -272,8 +270,8 @@ TEST(DeltaExtractionTest, ZeroThresholdFallsBackToFullAndStaysExact) {
   RunResult fallback = RunWorld(always_full);
   RunResult delta = RunWorld(Config(1, 1, IncrementalMode::kDelta));
 
-  EXPECT_EQ(fallback.delta_extractions, 0u);
-  EXPECT_GT(fallback.probe_skips, 0u);  // quiet days still skip
+  EXPECT_EQ(fallback.totals.delta_extractions, 0u);
+  EXPECT_GT(fallback.totals.probe_skips, 0u);  // quiet days still skip
   EXPECT_EQ(fallback.report.ContentFingerprint(),
             delta.report.ContentFingerprint());
   EXPECT_EQ(fallback.summaries, delta.summaries);
@@ -413,17 +411,15 @@ TEST(AdversarialDeltaTest, BoundedArmDetectsLiesAndConvergesToTruth) {
   AdversarialWorld world(AdversarialConfig(1, 1), kAdvFreezeDay);
   FleetReport report = world.fleet().RunSimulation(kAdvDays);
 
-  size_t mismatches = 0;
-  size_t forced = 0;
+  CounterSet totals;
   for (const auto& day : report.days) {
-    mismatches += day.probe_mismatches;
-    forced += day.forced_refreshes;
+    totals += day;
     for (const auto& [days_stale, n] : day.staleness_histogram) {
       EXPECT_LE(days_stale, kAdvBudget) << "day " << day.day;
     }
   }
-  EXPECT_GT(mismatches, 0u);
-  EXPECT_GT(forced, 0u);
+  EXPECT_GT(totals.probe_mismatches, 0u);
+  EXPECT_GT(totals.forced_refreshes, 0u);
 
   AdversarialWorld oracle(Config(1, 1, IncrementalMode::kOff),
                           kAdvFreezeDay);

@@ -359,6 +359,24 @@ TEST(RegistryTest, LoadRejectsBadJson) {
   EXPECT_FALSE(reg.LoadJson(arr).ok());
 }
 
+TEST(RegistryTest, OutOfRangeNumbersReadAsDefaults) {
+  // Registry records are reloaded from snapshots (external input): a
+  // number no int64 can hold reads as the field's default instead of
+  // overflowing the conversion.
+  auto j = Json::Parse(
+      R"([{"url":"http://a","added_day":1e300,"first_eligible_day":-1e300,)"
+      R"("last_attempt_day":1e19,"last_success_day":4}])");
+  ASSERT_TRUE(j.ok());
+  EndpointRegistry reg;
+  ASSERT_TRUE(reg.LoadJson(*j).ok());
+  const EndpointRecord* got = reg.Find("http://a");
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->added_day, 0);
+  EXPECT_EQ(got->first_eligible_day, -1);
+  EXPECT_EQ(got->last_attempt_day, -1);
+  EXPECT_EQ(got->last_success_day, 4);
+}
+
 TEST(RegistryTest, SourceNames) {
   EXPECT_STREQ(EndpointSourceName(EndpointSource::kSeedList), "seed");
   EXPECT_STREQ(EndpointSourceName(EndpointSource::kPortalCrawl), "portal");

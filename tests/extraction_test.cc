@@ -227,6 +227,20 @@ TEST(IndexSummaryTest, FromJsonRejectsNonObject) {
   EXPECT_FALSE(IndexSummary::FromJson(Json(3)).ok());
 }
 
+TEST(IndexSummaryTest, FromJsonReadsOutOfRangeRangeCountsAsZero) {
+  auto j = Json::Parse(
+      R"({"classes":[{"iri":"http://x/A","properties":[{"iri":"http://x/p",)"
+      R"("ranges":{"http://x/B":1e300,"http://x/C":3}}]}]})");
+  ASSERT_TRUE(j.ok());
+  auto s = IndexSummary::FromJson(*j);
+  ASSERT_TRUE(s.ok()) << s.status();
+  ASSERT_EQ(s->classes.size(), 1u);
+  ASSERT_EQ(s->classes[0].properties.size(), 1u);
+  const auto& ranges = s->classes[0].properties[0].range_classes;
+  EXPECT_EQ(ranges.at("http://x/B"), 0u);
+  EXPECT_EQ(ranges.at("http://x/C"), 3u);
+}
+
 TEST(IndexSummaryTest, TotalClassInstancesSums) {
   IndexSummary s;
   s.classes.push_back({"a", 3, {}});

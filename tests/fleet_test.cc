@@ -2,8 +2,8 @@
 // (canonical history and persisted artifacts are byte-identical across
 // shard counts, parallelism, and batching), seeded churn semantics
 // (arrivals schedulable the NEXT day, deaths retried daily), adaptive
-// batch-width policy, the clock-advance contract, and the
-// RefreshScheduler mid-cycle pickup regression.
+// batch-width policy, the clock-advance contract, the RefreshScheduler
+// mid-cycle pickup regression, and the pinned report serializations.
 
 #include <map>
 #include <memory>
@@ -453,6 +453,97 @@ TEST(SchedulerMidCycleTest, FirstEligibleDayRoundTripsThroughJson) {
   stripped.Set("url", "http://r/sparql");
   stripped.Set("added_day", static_cast<int64_t>(3));
   EXPECT_EQ(EndpointRecord::FromJson(stripped).first_eligible_day, -1);
+}
+
+// ------------------------------------------------ report serialization
+
+/// Three hand-built days covering every emission rule of the day
+/// counters: a kOff-style day (no probes), an incremental day with a
+/// mismatch and a staleness histogram but no skips, and a day with
+/// query-engine deployment counters.
+FleetReport HandBuiltReport() {
+  FleetReport report;
+  FleetDayReport off;
+  off.due = 2;
+  off.succeeded = 1;
+  off.failed = 1;
+  off.sum_latency_ms = 12.5;
+  off.outcomes.push_back(DueOutcome{"http://a/sparql", true, 7.5, 3.5});
+  off.outcomes.push_back(DueOutcome{"http://b/sparql", false, 5.0, 5.0});
+  PipelineReport a;
+  a.url = "http://a/sparql";
+  a.classes = 3;
+  a.extraction.queries_issued = 4;
+  off.reports.push_back(a);
+  report.days.push_back(off);
+
+  FleetDayReport probed;
+  probed.day = 1;
+  probed.due = probed.succeeded = probed.probes = 3;
+  probed.reused = probed.delta_extractions = probed.probe_mismatches = 1;
+  probed.forced_refreshes = probed.quarantines_entered = 1;
+  probed.staleness_histogram = {{0, 2}, {3, 1}};
+  a.probed = a.delta_extracted = a.probe_mismatch = a.forced_refresh = true;
+  a.staleness_days = 3;
+  probed.reports.push_back(a);
+  report.days.push_back(probed);
+
+  FleetDayReport engine;
+  engine.day = 2;
+  engine.due = engine.succeeded = engine.reused = 1;
+  engine.quarantines_exited = 1;
+  engine.plan_cache_hits = 5;
+  engine.plan_cache_misses = 2;
+  engine.hash_join_builds = 1;
+  report.days.push_back(engine);
+  return report;
+}
+
+TEST(FleetReportTest, CanonicalDumpBytesArePinned) {
+  // Any drift in these bytes also moves every committed bench
+  // fingerprint, so it must be deliberate.
+  const std::string expected =
+      R"({"days":[{"arrivals":0,"day":0,"deaths":0,"due":2,"failed":1,)"
+      R"("outcomes":[{"latency_ms":7.5,"ok":true,)"
+      R"("url":"http://a/sparql"},{"latency_ms":5,"ok":false,)"
+      R"("url":"http://b/sparql"}],"reports":[{"arcs":0,"classes":3,)"
+      R"("clusters":0,"fallbacks":[],"latency_ms":0,"queries":4,)"
+      R"("reused":false,"rows":0,"strategy":"","throttle_events":0,)"
+      R"("url":"http://a/sparql"}],"reused":0,"succeeded":1,)"
+      R"("sum_latency_ms":12.5},{"arrivals":0,"day":1,"deaths":0,)"
+      R"("delta_extractions":1,"due":3,"failed":0,"forced_refreshes":1,)"
+      R"("outcomes":[],"probe_mismatches":1,"probe_skips":0,"probes":3,)"
+      R"("quarantines_entered":1,"reports":[{"arcs":0,"classes":3,)"
+      R"("clusters":0,"delta":true,"dirty":0,"fallbacks":[],)"
+      R"("forced_refresh":true,"latency_ms":0,"probe_mismatch":true,)"
+      R"("probe_skipped":false,"probed":true,"queries":4,"removed":0,)"
+      R"("reused":false,"rows":0,"staleness_days":3,"strategy":"",)"
+      R"("throttle_events":0,"url":"http://a/sparql"}],"reused":1,)"
+      R"("staleness_histogram":{"0":2,"3":1},"succeeded":3,)"
+      R"("sum_latency_ms":0},{"arrivals":0,"day":2,"deaths":0,"due":1,)"
+      R"("failed":0,"outcomes":[],"quarantines_exited":1,"reports":[],)"
+      R"("reused":1,"succeeded":1,"sum_latency_ms":0}]})";
+  EXPECT_EQ(HandBuiltReport().CanonicalDump(), expected);
+}
+
+TEST(FleetReportTest, ToJsonCarriesEveryCounter) {
+  const Json json = HandBuiltReport().ToJson();
+  const Json::Array& days = json.Find("days")->as_array();
+  ASSERT_EQ(days.size(), 3u);
+  for (const Json& day : days) {
+    for (const char* key :
+         {"due", "succeeded", "failed", "reused", "probes", "probe_skips",
+          "delta_extractions", "probe_mismatches", "forced_refreshes",
+          "quarantines_entered", "quarantines_exited", "staleness_histogram",
+          "plan_cache_hits", "plan_cache_misses", "hash_join_builds"}) {
+      EXPECT_NE(day.Find(key), nullptr) << key;
+    }
+  }
+  EXPECT_EQ(days[0].Find("staleness_histogram")->Dump(), "{}");
+  EXPECT_EQ(days[1].Find("staleness_histogram")->Dump(), R"({"0":2,"3":1})");
+  EXPECT_EQ(days[2].GetInt("plan_cache_hits"), 5);
+  EXPECT_EQ(days[2].GetInt("plan_cache_misses"), 2);
+  EXPECT_EQ(days[2].GetInt("hash_join_builds"), 1);
 }
 
 }  // namespace

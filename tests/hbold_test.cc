@@ -591,5 +591,34 @@ TEST_F(ParallelCycleTest, ReuseDetectionSurvivesParallelSecondCycle) {
   EXPECT_EQ(db.FindCollection(kClustersCollection)->size(), kEndpoints);
 }
 
+TEST(CounterSetTest, FoldSumAndFullSerializationCoverEveryCounter) {
+  PipelineReport flagged;
+  flagged.reused_cluster_schema = flagged.probed = flagged.probe_skipped =
+      flagged.delta_extracted = flagged.probe_mismatch =
+          flagged.forced_refresh = flagged.quarantine_entered =
+              flagged.quarantine_exited = true;
+  flagged.staleness_days = 2;
+  CounterSet shard;
+  shard.due = 3;
+  shard.failed = 1;
+  shard.AddSuccess(flagged, /*staleness=*/true);
+  shard.AddSuccess(PipelineReport{}, /*staleness=*/false);
+  shard.plan_cache_hits = 4;
+  shard.plan_cache_misses = 5;
+  shard.hash_join_builds = 6;
+
+  CounterSet total;
+  total += shard;
+  total += shard;
+  Json full = Json::MakeObject();
+  total.WriteTo(&full, /*canonical=*/false);
+  EXPECT_EQ(full.Dump(),
+            R"({"delta_extractions":2,"due":6,"failed":2,"forced_refreshes":2,)"
+            R"("hash_join_builds":12,"plan_cache_hits":8,)"
+            R"("plan_cache_misses":10,"probe_mismatches":2,"probe_skips":2,)"
+            R"("probes":2,"quarantines_entered":2,"quarantines_exited":2,)"
+            R"("reused":2,"staleness_histogram":{"2":2},"succeeded":4})");
+}
+
 }  // namespace
 }  // namespace hbold

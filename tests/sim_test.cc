@@ -1,9 +1,9 @@
 // Simulation-core tests: EventLoop dispatch order and tie-breaks, the
 // history serialization, Process single-activation semantics, seeded
-// ArrivalProcess determinism, the SimulationOptions per-layer mapping,
-// and the fleet-on-loop contracts — event histories invariant across
-// deployment shapes, the overrun-day catch-up cycle, and the SimClock
-// compatibility shim producing the same simulation as an explicit loop.
+// ArrivalProcess determinism, and the fleet-on-loop contracts — event
+// histories invariant across deployment shapes, the overrun-day catch-up
+// cycle, and a Fleet built on a bare SimClock producing the same
+// simulation as one built on an explicit loop.
 
 #include <memory>
 #include <string>
@@ -15,7 +15,6 @@
 #include "endpoint/registry.h"
 #include "endpoint/simulated_endpoint.h"
 #include "hbold/fleet.h"
-#include "hbold/sim_options.h"
 #include "sim/event_loop.h"
 #include "workload/ld_generator.h"
 
@@ -165,38 +164,6 @@ TEST(ArrivalProcessTest, IndexAddressedAndSeedDeterministic) {
   }
 }
 
-// ------------------------------------------------- options consolidation
-
-TEST(SimulationOptionsTest, SharedKnobsMapToBothLayers) {
-  SimulationOptions sim;
-  sim.refresh_age_days = 3;
-  sim.parallelism = 4;
-  sim.query_batch_width = 2;
-  sim.num_shards = 2;
-  sim.virtual_workers = 8;
-
-  ServerOptions server = sim.ToServerOptions();
-  EXPECT_EQ(server.refresh_age_days, 3);
-  EXPECT_EQ(server.parallelism, 4);
-  EXPECT_EQ(server.query_batch_width, 2);
-
-  FleetOptions fleet = sim.ToFleetOptions();
-  EXPECT_EQ(fleet.num_shards, 2);
-  EXPECT_EQ(fleet.virtual_workers, 8);
-  EXPECT_EQ(fleet.server.parallelism, 4);
-  EXPECT_EQ(fleet.server.refresh_age_days, 3);
-}
-
-TEST(SimulationOptionsTest, PerLayerOverridesAreExplicit) {
-  SimulationOptions sim;
-  sim.parallelism = 4;
-  sim.server_parallelism = 2;
-  sim.server_batch_width = 3;
-  FleetOptions fleet = sim.ToFleetOptions();
-  EXPECT_EQ(fleet.server.parallelism, 2) << "override wins for the layer";
-  EXPECT_EQ(fleet.server.query_batch_width, 3);
-}
-
 // ---------------------------------------------------- fleet on the loop
 
 constexpr size_t kEndpoints = 4;
@@ -251,13 +218,13 @@ class SimWorld {
 
 FleetOptions Deployment(int shards, int parallelism, int width,
                         int virtual_workers = 4) {
-  SimulationOptions sim;
-  sim.num_shards = shards;
-  sim.parallelism = parallelism;
-  sim.query_batch_width = width;
-  sim.virtual_workers = virtual_workers;
-  if (shards == 1 && parallelism == 1) sim.fleet_workers = 1;
-  return sim.ToFleetOptions();
+  FleetOptions options;
+  options.num_shards = shards;
+  options.server.parallelism = parallelism;
+  options.server.query_batch_width = width;
+  options.virtual_workers = virtual_workers;
+  if (shards == 1 && parallelism == 1) options.fleet_workers = 1;
+  return options;
 }
 
 TEST(SimFleetTest, EventHistoryInvariantAcrossDeployments) {
@@ -325,7 +292,7 @@ TEST(SimFleetTest, OverrunDayRunsCatchUpCycleDeploymentInvariantly) {
 TEST(SimFleetTest, CompatClockCtorMatchesExplicitLoop) {
   auto stores = BuildWorldStores();
 
-  // Legacy construction: the caller owns a SimClock and never names the
+  // SimClock construction: the caller owns a SimClock and never names the
   // loop. The fleet wraps it in an owned EventLoop.
   SimClock clock;
   std::vector<std::unique_ptr<SimulatedRemoteEndpoint>> endpoints;

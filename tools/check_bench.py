@@ -191,6 +191,9 @@ GATED = {
         Metric("gates.deployment_invariance", "bool"),
         Metric("gates.makespan_reduction_3x", "bool"),
         Metric("content_fingerprint", "exact"),
+        # FleetReport::Fingerprint() of the kDelta arm: pins how the
+        # delta path talked to the endpoints and every day counter.
+        Metric("delta_fingerprint", "exact"),
         Metric("makespan_reduction", "higher"),
         Metric("query_reduction", "higher"),
         Metric("probe_skips", "stable"),
