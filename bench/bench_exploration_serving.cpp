@@ -12,6 +12,9 @@
 //     (same FNV fingerprint) across every (threads, cache) configuration
 //   - cache speedup >= 2x sessions/sec at equal thread count
 //   - cache determinism: single-flight misses match across thread counts
+//   - refresh retention: a second pass on the same cached service after
+//     RefreshSnapshots() over unchanged stores adds no layout-cache miss
+//     and serves the same transcripts
 //
 //   ./build/bench_exploration_serving [endpoints] [sessions]
 
@@ -53,6 +56,9 @@ struct RunFigures {
   uint64_t cache_hits = 0;
   double p50_interaction_ms = 0;
   double p99_interaction_ms = 0;
+  /// Cached runs only: the second pass after a refresh.
+  uint64_t refresh_misses = 0;
+  uint64_t refresh_fingerprint = 0;
 };
 
 RunFigures ServeWorkload(Fleet* fleet, const std::vector<SessionPlan>& plans,
@@ -85,6 +91,13 @@ RunFigures ServeWorkload(Fleet* fleet, const std::vector<SessionPlan>& plans,
     figures.fingerprint = ExplorationService::CombinedFingerprint(results);
     figures.cache_misses = service.cache_stats().misses;
     figures.cache_hits = service.cache_stats().hits;
+    if (use_cache) {
+      service.RefreshSnapshots();
+      figures.refresh_fingerprint = ExplorationService::CombinedFingerprint(
+          service.RunSessions(plans, pool.get()));
+      figures.refresh_misses =
+          service.cache_stats().misses - figures.cache_misses;
+    }
   }
   figures.sessions_per_sec =
       figures.best_ms > 0
@@ -161,6 +174,10 @@ int main(int argc, char** argv) {
   const bool deterministic_misses =
       cached_1.cache_misses == cached_4.cache_misses &&
       cached_1.cache_hits == cached_4.cache_hits;
+  const bool refresh_keeps_layouts =
+      cached_1.refresh_misses == 0 && cached_4.refresh_misses == 0 &&
+      cached_1.refresh_fingerprint == cached_1.fingerprint &&
+      cached_4.refresh_fingerprint == cached_1.fingerprint;
 
   std::printf("cache speedup: %.2fx (1 thread), %.2fx (4 threads)\n",
               speedup_1, speedup_4);
@@ -168,6 +185,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cached_1.cache_misses),
               static_cast<unsigned long long>(cached_1.cache_hits),
               deterministic_misses ? "yes" : "NO");
+  std::printf("after refresh: %llu misses, fp %s\n",
+              static_cast<unsigned long long>(cached_1.refresh_misses),
+              HexU64(cached_1.refresh_fingerprint).c_str());
 
   Json report = Json::MakeObject();
   report.Set("endpoints", static_cast<int64_t>(num_endpoints));
@@ -175,6 +195,9 @@ int main(int argc, char** argv) {
   report.Set("transcript_fingerprint", HexU64(cached_1.fingerprint));
   report.Set("cache_misses", static_cast<int64_t>(cached_1.cache_misses));
   report.Set("cache_hits", static_cast<int64_t>(cached_1.cache_hits));
+  report.Set("refresh_misses", static_cast<int64_t>(cached_1.refresh_misses));
+  report.Set("refresh_transcript_fingerprint",
+             HexU64(cached_1.refresh_fingerprint));
   report.Set("cached_ms", cached_1.best_ms);
   report.Set("uncached_ms", uncached_1.best_ms);
   report.Set("cached_threads4_ms", cached_4.best_ms);
@@ -189,6 +212,7 @@ int main(int argc, char** argv) {
   gates.Set("transcript_identity", transcript_identity);
   gates.Set("cache_speedup_2x", cache_speedup_2x);
   gates.Set("deterministic_misses", deterministic_misses);
+  gates.Set("refresh_keeps_layouts", refresh_keeps_layouts);
   report.Set("gates", std::move(gates));
 
   std::ofstream out("BENCH_exploration_serving.json");
@@ -204,6 +228,12 @@ int main(int argc, char** argv) {
   if (!deterministic_misses) {
     std::fprintf(stderr,
                  "GATE FAILED: cache misses vary with thread count\n");
+    return 1;
+  }
+  if (!refresh_keeps_layouts) {
+    std::fprintf(stderr,
+                 "GATE FAILED: a refresh over unchanged stores lost cached "
+                 "layouts or changed transcripts\n");
     return 1;
   }
   if (!cache_speedup_2x) {

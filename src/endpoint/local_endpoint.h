@@ -79,8 +79,9 @@ class LocalEndpoint : public SparqlEndpoint {
   /// the AST and drop the query (the simulated endpoints' dialect gate).
   Result<sparql::ResolvedQuery> Resolve(std::string_view query_text);
 
-  /// Step 2: plans a miss (inserting it into the text tier) and executes;
-  /// `stats` receives this query's execution stats.
+  /// Step 2: plans a miss (admitting its text to the text tier when the
+  /// shape was planned before) and executes; `stats` receives this
+  /// query's execution stats.
   Result<QueryOutcome> Execute(sparql::ResolvedQuery resolved,
                                sparql::ExecStats* stats);
 

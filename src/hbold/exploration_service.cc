@@ -4,6 +4,7 @@
 #include <chrono>
 #include <iomanip>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -94,8 +95,9 @@ size_t ExplorationService::RefreshSnapshots() {
   }
   std::sort(catalog.begin(), catalog.end(), by_url);
   catalog_ = std::move(catalog);
-  ++generation_;
-  cache_.SetEpoch(generation_);
+  std::set<viz::LayoutKey> live;
+  for (const DatasetSnapshot& ds : catalog_) live.insert(LayoutKeyOf(ds));
+  cache_.Prune(live);
   return catalog_.size();
 }
 
@@ -105,11 +107,16 @@ std::shared_ptr<const viz::LayoutSet> ExplorationService::LayoutsFor(
     return std::make_shared<const viz::LayoutSet>(viz::ComputeLayoutSet(
         *ds.summary, *ds.clusters, ds.url, options_.layout));
   }
-  return cache_.GetOrCompute(
-      ds.cluster_fingerprint, options_fingerprint_, [&]() {
-        return viz::ComputeLayoutSet(*ds.summary, *ds.clusters, ds.url,
-                                     options_.layout);
-      });
+  return cache_.GetOrCompute(LayoutKeyOf(ds), [&]() {
+    return viz::ComputeLayoutSet(*ds.summary, *ds.clusters, ds.url,
+                                 options_.layout);
+  });
+}
+
+viz::LayoutKey ExplorationService::LayoutKeyOf(
+    const DatasetSnapshot& ds) const {
+  return viz::LayoutKey{ds.schema_fingerprint, ds.cluster_fingerprint,
+                        options_fingerprint_};
 }
 
 SessionResult ExplorationService::RunSession(

@@ -31,8 +31,9 @@ struct DatasetSnapshot {
   std::shared_ptr<const cluster::ClusterSchema> clusters;
   /// Fnv64 over the decoded summary's canonical JSON.
   uint64_t schema_fingerprint = 0;
-  /// Fnv64 over the decoded cluster schema's canonical JSON — the content
-  /// half of the layout-cache key.
+  /// Fnv64 over the decoded cluster schema's canonical JSON. With
+  /// `schema_fingerprint` and the options fingerprint it keys the layout
+  /// cache.
   uint64_t cluster_fingerprint = 0;
   /// Live endpoint routed when the snapshot was taken (may be null: the
   /// portal is dark). The endpoint object must outlive the snapshot;
@@ -85,15 +86,16 @@ class ExplorationService {
                               const ExplorationServiceOptions& options = {});
 
   /// Rebuilds the dataset catalog from one consistent snapshot per shard,
-  /// sorted by URL (deployment-invariant order), bumps the catalog
-  /// generation and epoch-flushes the layout cache. Only datasets whose
+  /// sorted by URL (deployment-invariant order). Only datasets whose
   /// stored documents changed since the last refresh are decoded again.
+  /// The layout cache then drops the entries no catalog dataset keys any
+  /// more and keeps the rest: an unchanged dataset renders from the cache
+  /// across refreshes, a changed one is laid out once under its new key.
   /// Call between daily cycles; sessions already running keep reading the
   /// previous catalog's shared_ptrs safely. Returns the catalog size.
   size_t RefreshSnapshots();
 
   const std::vector<DatasetSnapshot>& catalog() const { return catalog_; }
-  uint64_t generation() const { return generation_; }
 
   /// Serves one session. Thread-safe against other RunSession calls; must
   /// not overlap RefreshSnapshots().
@@ -134,12 +136,12 @@ class ExplorationService {
 
  private:
   std::shared_ptr<const viz::LayoutSet> LayoutsFor(const DatasetSnapshot& ds);
+  viz::LayoutKey LayoutKeyOf(const DatasetSnapshot& ds) const;
 
   Fleet* fleet_;
   ExplorationServiceOptions options_;
   uint64_t options_fingerprint_;
   std::vector<DatasetSnapshot> catalog_;
-  uint64_t generation_ = 0;
   viz::LayoutCache cache_;
   /// Results of loop-scheduled sessions, in dispatch order.
   std::vector<SessionResult> scheduled_results_;

@@ -1667,7 +1667,13 @@ Result<ResultTable> Executor::Execute(ResolvedQuery resolved,
                           stats);
   }
   if (plan_cache_ == nullptr) return Execute(resolved.parsed_, stats);
-  std::shared_ptr<const QueryPlan> plan = AcquirePlan(resolved.parsed_, stats);
+  bool reused = false;
+  std::shared_ptr<const QueryPlan> plan =
+      AcquirePlan(resolved.parsed_, stats, &reused);
+  if (!reused) return ExecutePlanned(resolved.parsed_, *plan, stats);
+  // Admission on reuse: this shape was already planned in this store
+  // generation, so the text is likely to come back. A one-shot text costs
+  // only its normalized entry, never a resident AST.
   auto insert = std::make_shared<PreparedQuery>();
   insert->query = std::move(resolved.parsed_);
   insert->plan = plan;
@@ -1676,7 +1682,8 @@ Result<ResultTable> Executor::Execute(ResolvedQuery resolved,
 }
 
 std::shared_ptr<const QueryPlan> Executor::AcquirePlan(const SelectQuery& q,
-                                                       ExecStats* stats) const {
+                                                       ExecStats* stats,
+                                                       bool* reused) const {
   // The physical plan: served by the cross-query cache (keyed on the
   // normalized WHERE tree + the store's rebuild generation) or computed
   // fresh. Cached and fresh plans are identical — planning is a
@@ -1689,6 +1696,7 @@ std::shared_ptr<const QueryPlan> Executor::AcquirePlan(const SelectQuery& q,
   const std::string key = NormalizeWhereKey(q);
   const uint64_t generation = store_->generation();
   std::shared_ptr<const QueryPlan> plan = plan_cache_->Lookup(key, generation);
+  if (reused != nullptr) *reused = plan != nullptr;
   if (plan != nullptr) {
     if (stats != nullptr) ++stats->plan_cache_hits;
   } else {

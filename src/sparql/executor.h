@@ -88,9 +88,10 @@ class Executor {
                     PlanCache* plan_cache = nullptr);
 
   /// Resolve(query_text) then Execute(resolved). With a plan cache
-  /// attached, a repeated text is served from the prepared-statement tier
-  /// — no parse, no planning; a new spelling of a cached WHERE tree still
-  /// shares its plan through the normalized tier.
+  /// attached, a text run a third time is served from the
+  /// prepared-statement tier — no parse, no planning; its second run and
+  /// any new spelling of a cached WHERE tree share the plan through the
+  /// normalized tier.
   Result<ResultTable> Execute(std::string_view query_text,
                               ExecStats* stats = nullptr) const;
 
@@ -98,8 +99,9 @@ class Executor {
   /// the cache) and parses it on a miss. Plans nothing.
   Result<ResolvedQuery> Resolve(std::string_view query_text) const;
 
-  /// Step 2: runs a resolved query. A miss is planned here and inserted
-  /// into the text tier before it runs.
+  /// Step 2: runs a resolved query. A text-tier miss is planned here; it
+  /// enters the text tier only when the normalized tier served its plan,
+  /// i.e. when this shape was already planned in this store generation.
   Result<ResultTable> Execute(ResolvedQuery resolved,
                               ExecStats* stats = nullptr) const;
 
@@ -111,8 +113,11 @@ class Executor {
 
  private:
   /// Cache lookup / planning for `q`; counts hit/miss into `stats`.
+  /// `reused`, when given, is set to whether the normalized tier served
+  /// the plan.
   std::shared_ptr<const QueryPlan> AcquirePlan(const SelectQuery& q,
-                                               ExecStats* stats) const;
+                                               ExecStats* stats,
+                                               bool* reused = nullptr) const;
   /// Runs `q` under a fixed physical plan.
   Result<ResultTable> ExecutePlanned(const SelectQuery& q,
                                      const QueryPlan& plan,

@@ -195,7 +195,11 @@ struct PreparedQuery {
 /// Cross-query plan cache, three tiers, all scoped to one TripleStore
 /// rebuild generation:
 ///   1. text tier: exact query text -> PreparedQuery (AST + plan) — the
-///      steady-state repeated corpus skips parse and planning entirely;
+///      steady-state repeated corpus skips parse and planning entirely.
+///      The executor admits a text only when the normalized tier served
+///      its plan (its shape was planned before in this generation), so a
+///      one-shot text never pins an AST: a repeated text is admitted on
+///      its second run and skips parsing from the third;
 ///   2. normalized tier: canonical WHERE key -> QueryPlan — alpha-renamed
 ///      spellings and different SELECT clauses over the same WHERE tree
 ///      share one plan (this is the tier the keying contract names);
@@ -257,7 +261,8 @@ class PlanCache {
   std::shared_ptr<const PreparedQuery> LookupPrepared(
       const std::string& text, uint64_t generation) const;
 
-  /// Text tier insert (call after a successful parse + plan acquisition).
+  /// Text tier insert (call after a successful parse + plan acquisition;
+  /// the executor calls it only for normalized-tier hits).
   void InsertPrepared(const std::string& text, uint64_t generation,
                       std::shared_ptr<const PreparedQuery> prepared);
 

@@ -87,9 +87,7 @@ LayoutCache::LayoutCache(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 std::shared_ptr<const LayoutSet> LayoutCache::GetOrCompute(
-    uint64_t cluster_fingerprint, uint64_t options_fingerprint,
-    const std::function<LayoutSet()>& compute) {
-  Key key{cluster_fingerprint, options_fingerprint};
+    const LayoutKey& key, const std::function<LayoutSet()>& compute) {
   std::shared_future<std::shared_ptr<const LayoutSet>> future;
   std::promise<std::shared_ptr<const LayoutSet>> promise;
   bool owner = false;
@@ -107,7 +105,7 @@ std::shared_ptr<const LayoutSet> LayoutCache::GetOrCompute(
       lru_.push_front(key);
       entries_.emplace(key, Entry{future, lru_.begin()});
       while (entries_.size() > capacity_) {
-        Key victim = lru_.back();
+        LayoutKey victim = lru_.back();
         // Never evict the entry we are about to fill — its waiters hold
         // the future, but a re-request would recompute needlessly.
         if (victim == key) break;
@@ -136,13 +134,17 @@ std::shared_ptr<const LayoutSet> LayoutCache::GetOrCompute(
   return future.get();
 }
 
-void LayoutCache::SetEpoch(uint64_t epoch) {
+void LayoutCache::Prune(const std::set<LayoutKey>& live) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (epoch == epoch_) return;
-  epoch_ = epoch;
-  if (!entries_.empty()) ++stats_.epoch_flushes;
-  entries_.clear();
-  lru_.clear();
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    if (live.count(it->first) != 0) {
+      ++it;
+      continue;
+    }
+    lru_.erase(it->second.lru_it);
+    it = entries_.erase(it);
+    ++stats_.evictions;
+  }
 }
 
 LayoutCacheStats LayoutCache::stats() const {

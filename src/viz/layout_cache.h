@@ -8,8 +8,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
-#include <utility>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster_schema.h"
@@ -64,20 +65,37 @@ LayoutSet ComputeLayoutSet(const schema::SchemaSummary& summary,
                            const std::string& dataset_name,
                            const LayoutSetOptions& options);
 
+/// Everything ComputeLayoutSet reads, as content fingerprints: the Schema
+/// Summary (leaf labels and counts, bundled arcs), the Cluster Schema and
+/// the rendering options. Both content fingerprints cover the endpoint
+/// URL, which is the dataset name the hierarchy root is drawn with. Equal
+/// keys therefore always mean equal LayoutSets, so an entry never goes
+/// stale; it only stops being asked for.
+struct LayoutKey {
+  uint64_t schema_fingerprint = 0;
+  uint64_t cluster_fingerprint = 0;
+  uint64_t options_fingerprint = 0;
+
+  auto Tie() const {
+    return std::tie(schema_fingerprint, cluster_fingerprint,
+                    options_fingerprint);
+  }
+  bool operator<(const LayoutKey& o) const { return Tie() < o.Tie(); }
+  bool operator==(const LayoutKey& o) const { return Tie() == o.Tie(); }
+};
+
 struct LayoutCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
+  /// Entries dropped by LRU capacity or by Prune.
   uint64_t evictions = 0;
-  uint64_t epoch_flushes = 0;
 };
 
-/// Thread-safe LRU cache of LayoutSets keyed on (cluster-schema content
-/// fingerprint, options fingerprint), generation-invalidated like the
-/// query engine's PlanCache: the serving layer bumps the epoch whenever it
-/// refreshes its store snapshots, and a mismatched epoch flushes the
-/// cache wholesale. Keys are content fingerprints, so even a stale entry
-/// can never be *wrong* — the epoch bound only keeps dead schemas from
-/// pinning memory across extraction cycles.
+/// Thread-safe LRU cache of LayoutSets keyed on their full content
+/// (LayoutKey). Because the key covers every input, entries survive
+/// snapshot refreshes: the serving layer prunes the keys its new catalog
+/// no longer names and keeps the rest, so a dataset whose Schema Summary
+/// and Cluster Schema did not change is never laid out again.
 ///
 /// Lookups are single-flight: concurrent requests for the same key block
 /// on one computation instead of racing it, which both saves the duplicate
@@ -92,29 +110,26 @@ class LayoutCache {
   /// first request. `compute` runs outside the cache lock; concurrent
   /// callers with the same key wait for the in-flight computation.
   std::shared_ptr<const LayoutSet> GetOrCompute(
-      uint64_t cluster_fingerprint, uint64_t options_fingerprint,
-      const std::function<LayoutSet()>& compute);
+      const LayoutKey& key, const std::function<LayoutSet()>& compute);
 
-  /// Flushes everything when `epoch` differs from the current epoch (the
-  /// PlanCache idiom: callers pass their snapshot generation).
-  void SetEpoch(uint64_t epoch);
+  /// Evicts every entry whose key is not in `live` (each counted as an
+  /// eviction) and keeps the rest with their LRU order.
+  void Prune(const std::set<LayoutKey>& live);
 
   LayoutCacheStats stats() const;
   size_t size() const;
   size_t capacity() const { return capacity_; }
 
  private:
-  using Key = std::pair<uint64_t, uint64_t>;
   struct Entry {
     std::shared_future<std::shared_ptr<const LayoutSet>> future;
-    std::list<Key>::iterator lru_it;
+    std::list<LayoutKey>::iterator lru_it;
   };
 
   mutable std::mutex mu_;
   size_t capacity_;
-  uint64_t epoch_ = 0;
-  std::map<Key, Entry> entries_;
-  std::list<Key> lru_;  // front = most recently used
+  std::map<LayoutKey, Entry> entries_;
+  std::list<LayoutKey> lru_;  // front = most recently used
   LayoutCacheStats stats_;
 };
 

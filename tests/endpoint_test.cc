@@ -140,15 +140,19 @@ TEST_F(EndpointTest, TextTierHitKeepsRowCapAndLatency) {
   const QueryEngineStats before = ep.engine_stats();
   EXPECT_EQ(before.plan_cache_misses, 1u);
 
-  auto second = ep.Query(q);
-  ASSERT_TRUE(second.ok()) << second.status();
-  const QueryEngineStats after = ep.engine_stats();
-  EXPECT_EQ(after.plan_cache_hits, before.plan_cache_hits + 1);
-  EXPECT_EQ(after.plan_cache_misses, before.plan_cache_misses);
-  EXPECT_EQ(second->table.num_rows(), 2u);
-  EXPECT_TRUE(second->truncated);
-  EXPECT_EQ(second->table.ToCsv(), first->table.ToCsv());
-  EXPECT_EQ(second->latency_ms, first->latency_ms);
+  // The second run is a normalized-tier hit that admits the text; the
+  // third is served from the text tier.
+  for (int run = 2; run <= 3; ++run) {
+    auto again = ep.Query(q);
+    ASSERT_TRUE(again.ok()) << again.status();
+    const QueryEngineStats after = ep.engine_stats();
+    EXPECT_EQ(after.plan_cache_hits, before.plan_cache_hits + (run - 1));
+    EXPECT_EQ(after.plan_cache_misses, before.plan_cache_misses);
+    EXPECT_EQ(again->table.num_rows(), 2u) << "run " << run;
+    EXPECT_TRUE(again->truncated) << "run " << run;
+    EXPECT_EQ(again->table.ToCsv(), first->table.ToCsv()) << "run " << run;
+    EXPECT_EQ(again->latency_ms, first->latency_ms) << "run " << run;
+  }
 }
 
 TEST_F(EndpointTest, TextTierHitStillTimesOut) {
@@ -161,12 +165,15 @@ TEST_F(EndpointTest, TextTierHitStillTimesOut) {
   EXPECT_TRUE(first.status().IsTimeout());
   EXPECT_EQ(ep.engine_stats().plan_cache_misses, 1u);
 
-  auto second = ep.Query(q);
-  ASSERT_FALSE(second.ok());
-  EXPECT_TRUE(second.status().IsTimeout()) << second.status();
-  EXPECT_EQ(second.status().message(), first.status().message());
-  EXPECT_EQ(ep.engine_stats().plan_cache_hits, 1u);
-  EXPECT_EQ(ep.engine_stats().plan_cache_misses, 1u);
+  // Run 2 plans from the normalized tier, run 3 from the text tier.
+  for (uint64_t run = 2; run <= 3; ++run) {
+    auto again = ep.Query(q);
+    ASSERT_FALSE(again.ok());
+    EXPECT_TRUE(again.status().IsTimeout()) << again.status();
+    EXPECT_EQ(again.status().message(), first.status().message());
+    EXPECT_EQ(ep.engine_stats().plan_cache_hits, run - 1);
+    EXPECT_EQ(ep.engine_stats().plan_cache_misses, 1u);
+  }
 }
 
 TEST_F(EndpointTest, LocalEndpointResolveThenExecute) {

@@ -1,10 +1,12 @@
 // Serving-layer tests: session transcript determinism across thread counts
-// and cache modes, LayoutCache semantics (single-flight, LRU, epoch flush),
+// and cache modes, LayoutCache semantics (single-flight, LRU, content keys,
+// refresh-time pruning),
 // snapshot readers racing daily extraction cycles (the TSan hammer),
 // drill-down determinism, and EffectivenessSimulator tie-break stability.
 
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "hbold/fleet.h"
 #include "hbold/presentation.h"
 #include "hbold/server.h"
+#include "rdf/vocab.h"
 #include "store/collection.h"
 #include "viz/layout_cache.h"
 #include "workload/exploration_workload.h"
@@ -69,6 +72,7 @@ class ServingWorld {
   }
 
   Fleet& fleet() { return *fleet_; }
+  rdf::TripleStore& store(size_t i) { return *stores_[i]; }
 
  private:
   SimClock clock_;
@@ -158,30 +162,109 @@ TEST(ExplorationServingTest, CacheMissesAreUniqueKeysUnderConcurrency) {
   EXPECT_EQ(pooled_stats.evictions, 0u);
 }
 
-TEST(ExplorationServingTest, RefreshFlushesCacheAndKeepsTranscripts) {
+TEST(ExplorationServingTest, RefreshKeepsCachedLayoutsAndTranscripts) {
   ServingWorld world(1);
   ASSERT_FALSE(world.fleet().RunSimulation(1).days.empty());
   std::vector<SessionPlan> plans = GenerateSessions(SmallWorkload(), 1);
 
   ExplorationService service(&world.fleet(), {});
   ASSERT_EQ(service.RefreshSnapshots(), kEndpoints);
-  uint64_t gen1 = service.generation();
   std::vector<SessionResult> first = service.RunSessions(plans, nullptr);
   viz::LayoutCacheStats before = service.cache_stats();
   EXPECT_GT(before.misses, 0u);
 
-  // Same store content: a refresh must flush the cache (new epoch) but
-  // leave the transcripts byte-identical.
+  // Same store content: the refresh keeps every cached layout, so the
+  // second pass renders from the cache alone and reads the same bytes.
   ASSERT_EQ(service.RefreshSnapshots(), kEndpoints);
-  EXPECT_GT(service.generation(), gen1);
   std::vector<SessionResult> second = service.RunSessions(plans, nullptr);
   viz::LayoutCacheStats after = service.cache_stats();
-  EXPECT_GT(after.epoch_flushes, before.epoch_flushes);
-  EXPECT_GT(after.misses, before.misses);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_GT(after.hits, before.hits);
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].transcript, second[i].transcript);
   }
+}
+
+// A churned day changes some stores: the refresh evicts the layouts of the
+// changed datasets, and serving lays out exactly those that are rendered
+// again, matching a service that renders everything from scratch.
+TEST(ExplorationServingTest, ChurnedDayRelaysOutOnlyChangedDatasets) {
+  ServingWorld world(2);
+  ASSERT_FALSE(world.fleet().RunSimulation(1).days.empty());
+  std::vector<SessionPlan> plans =
+      GenerateSessions(SmallWorkload(), kEndpoints);
+  ExplorationService service(&world.fleet(), {});
+  ASSERT_EQ(service.RefreshSnapshots(), kEndpoints);
+  const std::vector<DatasetSnapshot> old_catalog = service.catalog();
+  service.RunSessions(plans, nullptr);
+  const viz::LayoutCacheStats before = service.cache_stats();
+
+  // The churn, re-extracted: store 1 gains a class with three instances;
+  // store 4 gains an attribute, which changes its Schema Summary but not
+  // its Cluster Schema.
+  auto ns = [](size_t i) { return Url(i).substr(0, Url(i).size() - 6); };
+  for (int k = 0; k < 3; ++k) {
+    world.store(1).Add(rdf::Term::Iri(ns(1) + "churned/" + std::to_string(k)),
+                       rdf::Term::Iri(rdf::vocab::kRdfType),
+                       rdf::Term::Iri(ns(1) + "ChurnedClass"));
+  }
+  world.store(4).Add(rdf::Term::Iri(ns(4) + "inst/C0_0"),
+                     rdf::Term::Iri(ns(4) + "prop/churned"),
+                     rdf::Term::Literal("churned"));
+  for (size_t i : {size_t{1}, size_t{4}}) {
+    Server& server = world.fleet().shard(world.fleet().ShardOf(Url(i)));
+    auto report = server.ProcessEndpoint(Url(i));
+    ASSERT_TRUE(report.ok()) << report.status();
+  }
+
+  ASSERT_EQ(service.RefreshSnapshots(), kEndpoints);
+  std::set<std::string> changed;
+  for (size_t i = 0; i < kEndpoints; ++i) {
+    const DatasetSnapshot& now = service.catalog()[i];
+    ASSERT_EQ(now.url, old_catalog[i].url);
+    if (now.schema_fingerprint != old_catalog[i].schema_fingerprint ||
+        now.cluster_fingerprint != old_catalog[i].cluster_fingerprint) {
+      changed.insert(now.url);
+    }
+  }
+  EXPECT_EQ(changed, (std::set<std::string>{Url(1), Url(4)}));
+  EXPECT_NE(service.catalog()[4].schema_fingerprint,
+            old_catalog[4].schema_fingerprint);
+  EXPECT_EQ(service.catalog()[4].cluster_fingerprint,
+            old_catalog[4].cluster_fingerprint);
+  const std::vector<SessionResult> churned =
+      service.RunSessions(plans, nullptr);
+  const viz::LayoutCacheStats after = service.cache_stats();
+
+  ExplorationServiceOptions uncached;
+  uncached.use_layout_cache = false;
+  ExplorationService fresh(&world.fleet(), uncached);
+  ASSERT_EQ(fresh.RefreshSnapshots(), kEndpoints);
+  const std::vector<SessionResult> reference =
+      fresh.RunSessions(plans, nullptr);
+  ASSERT_EQ(churned.size(), reference.size());
+  for (size_t i = 0; i < churned.size(); ++i) {
+    EXPECT_EQ(churned[i].transcript, reference[i].transcript) << "session " << i;
+  }
+
+  // Each session opens one dataset; the changed ones that a session
+  // rendered are the only layouts computed again.
+  std::set<std::string> rendered_changed;
+  for (const SessionResult& r : churned) {
+    if (r.transcript.find(" geometry=") == std::string::npos) continue;
+    for (const std::string& url : changed) {
+      if (r.transcript.find(" url=" + url + " ") != std::string::npos) {
+        rendered_changed.insert(url);
+      }
+    }
+  }
+  EXPECT_GT(rendered_changed.size(), 0u);
+  EXPECT_EQ(after.misses - before.misses, rendered_changed.size());
+  // The same plans rendered the same datasets before the churn, so the
+  // refresh evicted exactly their old layouts.
+  EXPECT_EQ(after.evictions - before.evictions, rendered_changed.size());
 }
 
 // Stored documents are immutable, so a refresh reuses the decoded objects
@@ -268,7 +351,7 @@ TEST(LayoutCacheTest, SingleFlightComputesOncePerKey) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&]() {
-      auto set = cache.GetOrCompute(1, 2, compute);
+      auto set = cache.GetOrCompute(viz::LayoutKey{0, 1, 2}, compute);
       EXPECT_EQ(set->geometry_fingerprint, 77u);
     });
   }
@@ -288,39 +371,76 @@ TEST(LayoutCacheTest, EvictsLeastRecentlyUsed) {
       return set;
     };
   };
-  cache.GetOrCompute(1, 0, make(1));
-  cache.GetOrCompute(2, 0, make(2));
-  cache.GetOrCompute(1, 0, make(1));  // touch 1: now 2 is the LRU
-  cache.GetOrCompute(3, 0, make(3));  // evicts 2
+  auto key = [](uint64_t cluster) { return viz::LayoutKey{0, cluster, 0}; };
+  cache.GetOrCompute(key(1), make(1));
+  cache.GetOrCompute(key(2), make(2));
+  cache.GetOrCompute(key(1), make(1));  // touch 1: now 2 is the LRU
+  cache.GetOrCompute(key(3), make(3));  // evicts 2
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  cache.GetOrCompute(1, 0, make(1));
+  cache.GetOrCompute(key(1), make(1));
   EXPECT_EQ(cache.stats().hits, 2u);
-  cache.GetOrCompute(2, 0, make(2));  // 2 was evicted: a miss again
+  cache.GetOrCompute(key(2), make(2));  // 2 was evicted: a miss again
   EXPECT_EQ(cache.stats().misses, 4u);
 }
 
-TEST(LayoutCacheTest, EpochChangeFlushes) {
+TEST(LayoutCacheTest, PruneKeepsLiveKeys) {
   viz::LayoutCache cache(8);
   auto compute = []() { return viz::LayoutSet{}; };
-  cache.SetEpoch(1);
-  cache.GetOrCompute(1, 0, compute);
-  cache.SetEpoch(1);  // same epoch: no flush
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().epoch_flushes, 0u);
-  cache.SetEpoch(2);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().epoch_flushes, 1u);
-  cache.GetOrCompute(1, 0, compute);
+  const viz::LayoutKey a{1, 2, 3};
+  const viz::LayoutKey b{4, 5, 3};
+  cache.GetOrCompute(a, compute);
+  cache.GetOrCompute(b, compute);
+  cache.Prune({a, b});
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  cache.GetOrCompute(a, compute);
+  cache.GetOrCompute(b, compute);
+  EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+TEST(LayoutCacheTest, PruneEvictsDeadKeys) {
+  viz::LayoutCache cache(8);
+  auto compute = []() { return viz::LayoutSet{}; };
+  const viz::LayoutKey live{1, 2, 3};
+  const viz::LayoutKey dead{4, 5, 3};
+  cache.GetOrCompute(live, compute);
+  cache.GetOrCompute(dead, compute);
+  cache.Prune({live});
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  cache.GetOrCompute(live, compute);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  cache.GetOrCompute(dead, compute);  // evicted: computed again
+  EXPECT_EQ(cache.stats().misses, 3u);
+  cache.Prune({});
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().evictions, 3u);
+}
+
+// The Schema Summary feeds the leaves and the bundling, so a changed
+// summary under an unchanged cluster schema must lay out again.
+TEST(LayoutCacheTest, SchemaFingerprintIsPartOfTheKey) {
+  viz::LayoutCache cache(8);
+  int computed = 0;
+  auto compute = [&]() {
+    ++computed;
+    return viz::LayoutSet{};
+  };
+  cache.GetOrCompute(viz::LayoutKey{1, 7, 3}, compute);
+  cache.GetOrCompute(viz::LayoutKey{2, 7, 3}, compute);
+  EXPECT_EQ(computed, 2);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(LayoutCacheTest, ZeroCapacityClampsToOne) {
   viz::LayoutCache cache(0);
   EXPECT_EQ(cache.capacity(), 1u);
   auto compute = []() { return viz::LayoutSet{}; };
-  cache.GetOrCompute(1, 0, compute);
-  cache.GetOrCompute(2, 0, compute);
+  cache.GetOrCompute(viz::LayoutKey{0, 1, 0}, compute);
+  cache.GetOrCompute(viz::LayoutKey{0, 2, 0}, compute);
   EXPECT_EQ(cache.size(), 1u);
 }
 

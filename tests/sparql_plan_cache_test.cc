@@ -132,7 +132,7 @@ TEST(PlanCacheTest, ResolveAloneNeitherPlansNorCounts) {
   EXPECT_EQ(cs.hits + cs.misses, 0u);
   EXPECT_EQ(cs.entries, 0u);
 
-  // Executing a miss plans it and inserts it into the text tier.
+  // Executing a miss plans it and inserts it into the normalized tier.
   auto first = ex.Resolve(q);
   ASSERT_TRUE(first.ok());
   ExecStats s1;
@@ -140,7 +140,8 @@ TEST(PlanCacheTest, ResolveAloneNeitherPlansNorCounts) {
   ASSERT_TRUE(r1.ok()) << r1.status();
   EXPECT_EQ(s1.plan_cache_misses, 1u);
 
-  // The same text now resolves from the text tier, AST included.
+  // The second run parses again and takes its plan from the normalized
+  // tier (which admits the text to the text tier).
   auto second = ex.Resolve(q);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->query().vars, (std::vector<std::string>{"a"}));
@@ -157,6 +158,42 @@ TEST(PlanCacheTest, ResolveAloneNeitherPlansNorCounts) {
 
   EXPECT_TRUE(ex.Resolve("SELECT garbage").status().IsParseError());
   EXPECT_EQ(cache.stats().hits + cache.stats().misses, 2u);
+}
+
+// ------------------------------------------------- text-tier admission
+
+// A text enters the text tier only once its shape was planned before, so
+// one-shot texts never pin an AST; the hit/miss counts are unchanged.
+TEST(PlanCacheTest, TextTierAdmitsOnlyRepeatedTexts) {
+  rdf::TripleStore store = MakeSmallStore();
+  PlanCache cache;
+  Executor ex(&store, ExecOptions{}, &cache);
+  const std::string once = "SELECT ?a WHERE { ?a <http://x/q> ?b . }";
+  const std::string twice = "SELECT ?a WHERE { ?a <http://x/p> ?b . }";
+  const uint64_t generation = store.generation();
+
+  ASSERT_TRUE(ex.Execute(once).ok());
+  ASSERT_TRUE(ex.Execute(twice).ok());
+  // A probe that finds nothing counts nothing.
+  EXPECT_EQ(cache.LookupPrepared(twice, generation), nullptr);
+  ASSERT_TRUE(ex.Execute(twice).ok());
+
+  // The third run of `twice` is served from the text tier, AST included.
+  auto third = ex.Resolve(twice);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third->query().vars, (std::vector<std::string>{"a"}));
+  ExecStats s3;
+  ASSERT_TRUE(ex.Execute(std::move(*third), &s3).ok());
+  EXPECT_EQ(s3.plan_cache_hits, 1u);
+
+  // Every query counted once: 4 executed, 2 shapes planned.
+  const PlanCacheStats cs = cache.stats();
+  EXPECT_EQ(cs.hits + cs.misses, 4u);
+  EXPECT_EQ(cs.misses, 2u);
+  EXPECT_EQ(cs.entries, 2u);
+
+  EXPECT_EQ(cache.LookupPrepared(once, generation), nullptr);
+  EXPECT_NE(cache.LookupPrepared(twice, generation), nullptr);
 }
 
 // ----------------------------------------------- generation invalidation

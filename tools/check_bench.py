@@ -221,7 +221,12 @@ GATED = {
         Metric("gates.transcript_identity", "bool"),
         Metric("gates.deterministic_misses", "bool"),
         Metric("gates.cache_speedup_2x", "bool"),
+        Metric("gates.refresh_keeps_layouts", "bool"),
         Metric("transcript_fingerprint", "exact"),
+        # A refresh over unchanged stores keeps every cached layout and
+        # serves the same transcripts.
+        Metric("refresh_misses", "exact"),
+        Metric("refresh_transcript_fingerprint", "exact"),
         Metric("cache_misses", "stable"),
         Metric("sessions", "stable"),
     ],
